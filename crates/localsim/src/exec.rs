@@ -4,58 +4,12 @@ use std::fmt;
 use std::sync::Mutex;
 
 use graphgen::{Graph, NodeId};
-use telemetry::{Event, FaultKind, Probe, Registry};
+use telemetry::Probe;
 
 use crate::faults::FaultPlan;
+use crate::kernel::{self, Kernel, RoundBook, Scratch, SegBufs, Tally};
 use crate::par;
 use crate::pool;
-
-/// Density window for the columnar port-arena (SoA) fast path: engaged
-/// only when the average degree `2m / n` lies in
-/// `[SOA_MIN_AVG_DEGREE, SOA_MAX_AVG_DEGREE]`.
-///
-/// The arena turns the per-node neighbor gather into a read of one
-/// contiguous, already-materialized slice, at the price of a scatter
-/// (each node writes its new state into every neighbor's slot once per
-/// round). That trade only pays once the gather's *random reads*
-/// actually miss cache: measured on `random_regular(4096, d)` flood
-/// runs (see docs/PERFORMANCE.md), the arena is ~25% faster at `d ∈
-/// {5, 6}` but 40-50% *slower* at `d <= 4`, where adjacency is compact
-/// enough (or, on paths/cycles, literally adjacent in memory) that
-/// gathering is near-sequential and the scatter's reverse-port lookups
-/// are pure overhead. Above the upper cutoff the arena would hold
-/// `Θ(n²)` states on cliques and blow the cache, while the plain
-/// gather out of the `n`-sized state buffer stays cache-resident.
-const SOA_MIN_AVG_DEGREE: usize = 5;
-const SOA_MAX_AVG_DEGREE: usize = 8;
-
-/// Per-worker scratch for the parallel stepping path, allocated once
-/// per run and reused across every round (epoch) — workers lock only
-/// their own slot, so the locks are never contended.
-struct SegScratch<S> {
-    nbr_buf: Vec<S>,
-    survivors: Vec<NodeId>,
-    msgs: i64,
-    dropped: i64,
-    stalled: i64,
-    seg_ns: Option<u64>,
-}
-
-/// One round's work packet for pool slot `i`: the segment of the live
-/// worklist it owns plus disjoint mutable views of the shared buffers,
-/// re-sliced every round as the worklist compacts.
-struct SegWork<'a, S, O> {
-    seg: &'a [NodeId],
-    lo: usize,
-    plo: usize,
-    nxt_s: &'a mut [S],
-    out_s: &'a mut [Option<O>],
-    seen_s: &'a mut [S],
-}
-
-/// Slot-indexed work cells for one epoch: the `Mutex<Option<_>>` lets
-/// each pool worker `take()` its packet through a shared reference.
-type WorkCells<'a, S, O> = Vec<Mutex<Option<SegWork<'a, S, O>>>>;
 
 /// Scope string under which [`Executor`] emits per-round events.
 pub const EXEC_SCOPE: &str = "localsim";
@@ -188,7 +142,7 @@ impl<'g> Executor<'g> {
     }
 
     /// Opts into deterministic parallel stepping with `k` worker threads
-    /// (`k <= 1` keeps the sequential path).
+    /// (`k <= 1` steps every round on the calling thread).
     ///
     /// Each round the live worklist is split into contiguous segments,
     /// one per thread; every node still reads only the previous round's
@@ -242,21 +196,19 @@ impl<'g> Executor<'g> {
             return Err(SimError::BadUids("duplicate uid".to_string()));
         }
         Ok(Executor {
-            graph,
             uids: Some(uids),
-            probe: Probe::disabled(),
-            threads: 1,
-            faults: None,
+            ..Executor::new(graph)
         })
     }
 
     /// Runs `algo` until every node halts, or fails after `max_rounds`.
     ///
-    /// The loop is allocation-free on the steady state: node states live
-    /// in two buffers swapped every round (no per-round clone of all `n`
-    /// states — a node's state is cloned exactly once, when it halts, to
-    /// freeze it in both buffers), halted nodes are skipped via a
-    /// compacting live worklist rather than a full vertex scan, and the
+    /// Per-node work allocates nothing on the steady state (a round only
+    /// builds its `O(threads)` segment table): node states live in two
+    /// buffers swapped every round (no per-round clone of all `n` states
+    /// — a node's state is cloned exactly once, when it halts, to freeze
+    /// it in both buffers), halted nodes are skipped via a compacting
+    /// live worklist rather than a full vertex scan, and the
     /// neighbor-state scratch buffer is reused across rounds.
     ///
     /// # Errors
@@ -271,28 +223,21 @@ impl<'g> Executor<'g> {
         A::Output: Send,
     {
         let n = self.graph.n();
-        if n == 0 {
-            return Ok(RunResult {
-                outputs: Vec::new(),
-                rounds: 0,
-            });
-        }
-        // Per-run invariants, hoisted out of the per-node hot loop.
         let graph = self.graph;
-        let max_degree = graph.max_degree();
-        let uids = self.uids.as_deref();
-        let make_ctx = move |v: NodeId, round: u64| NodeCtx {
-            node: v,
-            uid: uids.map_or(u64::from(v.0), |u| u[v.index()]),
-            neighbors: graph.neighbors(v),
-            round,
+        let offsets = graph.csr_offsets();
+        let plan = self.faults.as_ref();
+        let kernel = Kernel {
+            algo,
+            adj: graph,
+            uids: self.uids.as_deref(),
             n,
-            max_degree,
+            max_degree: graph.max_degree(),
+            plan,
         };
-        let mut cur: Vec<A::State> = Vec::with_capacity(n);
-        for v in graph.vertices() {
-            cur.push(algo.init(&make_ctx(v, 0)));
-        }
+        let mut cur: Vec<A::State> = graph
+            .vertices()
+            .map(|v| algo.init(&kernel.ctx(v, graph.neighbors(v), 0)))
+            .collect();
         // The write buffer starts as a copy so that entries the first
         // round never writes (there are none while all nodes are live)
         // are still initialized; after that, swaps replace cloning.
@@ -300,11 +245,7 @@ impl<'g> Executor<'g> {
         let mut outputs: Vec<Option<A::Output>> = (0..n).map(|_| None).collect();
         let mut live_list: Vec<NodeId> = graph.vertices().collect();
         let mut rounds = 0;
-        let mut registry = Registry::new();
-        let c_live = registry.counter("live_nodes");
-        let c_halted = registry.counter("halted");
-        let c_msgs = registry.counter("messages_sent");
-        let g_halted_frac = registry.gauge("halted_fraction");
+        let mut book = RoundBook::new(EXEC_SCOPE, &self.probe, plan, &[]);
         // Whole-run metrics, recorded only with a hub on the probe. The
         // `_ns` timings are nondeterministic by convention; the round and
         // worklist accounting is bit-identical at every thread count.
@@ -313,105 +254,26 @@ impl<'g> Executor<'g> {
         let m_live_peak = hub.map(|h| h.watermark("exec.live_peak"));
         let m_round_ns = hub.map(|h| h.histogram("exec.round_ns"));
         let m_segment_ns = hub.map(|h| h.histogram("exec.segment_ns"));
-        let meter_segments = m_segment_ns.is_some();
-        // Fault machinery. Everything below is inert (no extra counters,
-        // no per-node branches taken) unless a plan is active, so
-        // fault-free runs keep byte-identical telemetry.
-        let inert = FaultPlan::default();
-        let plan = self.faults.as_ref().unwrap_or(&inert);
-        let drop_on = plan.message_drop_p > 0.0;
-        let jitter_on = plan.round_jitter > 0;
-        let crash_sched = plan.crash_schedule();
-        let c_dropped = drop_on.then(|| registry.counter("messages_dropped"));
-        let c_stalled = jitter_on.then(|| registry.counter("stalled_nodes"));
-        let mut crashed = 0usize;
-        let offsets = graph.csr_offsets();
         // Per-directed-port "last heard" cache for message drops: slot
         // `offsets[v] + p` holds the state of v's p-th neighbor as last
-        // successfully read by v. Seeded with the init states (the setup
-        // exchange is reliable); a dropped read keeps the stale entry.
-        let mut seen: Vec<A::State> = Vec::new();
-        if drop_on {
-            seen.reserve_exact(offsets[n]);
-            for v in graph.vertices() {
-                seen.extend(graph.neighbors(v).iter().map(|w| cur[w.index()].clone()));
-            }
-        }
-        let mut nbr_buf: Vec<A::State> = Vec::with_capacity(max_degree);
-        let clean = self.faults.is_none();
-        // Columnar (SoA) port-arena fast path for sequential fault-free
-        // runs on sparse graphs: slot `offsets[v] + p` of the read arena
-        // holds the state of v's p-th neighbor, maintained by *scatter*
-        // (a node writes its new state into its neighbors' slots once
-        // per round) instead of gather. Stepping a node then reads one
-        // contiguous slice — no per-neighbor indexed clone, no scratch
-        // buffer — and a halted neighbor's frozen state is re-read for
-        // free instead of being re-cloned every round. The arenas are
-        // double-buffered like the node states; on halt the frozen state
-        // is scattered into the write arena so both buffers agree on the
-        // node forever (the read arena already holds it).
-        let use_soa = self.threads <= 1
-            && clean
-            && offsets[n] >= SOA_MIN_AVG_DEGREE * n
-            && offsets[n] <= SOA_MAX_AVG_DEGREE * n;
-        let rev = use_soa.then(|| graph.reverse_ports());
-        let mut cur_ports: Vec<A::State> = Vec::new();
-        let mut nxt_ports: Vec<A::State> = Vec::new();
-        if use_soa {
-            cur_ports.reserve_exact(offsets[n]);
-            for v in graph.vertices() {
-                cur_ports.extend(graph.neighbors(v).iter().map(|w| cur[w.index()].clone()));
-            }
-            nxt_ports = cur_ports.clone();
-        }
-        // Parallel stepping machinery: the worker pool is leased once
-        // per run (first parallel round) and parked between rounds; the
-        // per-slot scratch persists across rounds.
+        // successfully read by v; a dropped read keeps the stale entry.
+        let drop_on = plan.is_some_and(|p| p.message_drop_p > 0.0);
+        let mut seen = kernel::seed_seen(graph, plan, 0..n, &cur);
+        // The worker pool is leased on the first round with more than
+        // one segment and parked between rounds.
         let mut pool_lease: Option<pool::PoolLease> = None;
-        let scratches: Vec<Mutex<SegScratch<A::State>>> = if self.threads > 1 {
-            (0..self.threads)
-                .map(|_| {
-                    Mutex::new(SegScratch {
-                        nbr_buf: Vec::with_capacity(max_degree),
-                        survivors: Vec::new(),
-                        msgs: 0,
-                        dropped: 0,
-                        stalled: 0,
-                        seg_ns: None,
-                    })
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
+        // Per-slot scratch and tally, reused across every round; each
+        // slot locks only its own, so the locks are never contended.
+        let mut scratches: Vec<Mutex<(Scratch<A::State>, Tally)>> = (0..self.threads)
+            .map(|_| Mutex::new((Scratch::new(graph.max_degree()), Tally::default())))
+            .collect();
         while !live_list.is_empty() {
-            if rounds >= max_rounds {
-                return Err(SimError::RoundLimitExceeded {
-                    limit: max_rounds,
-                    still_running: live_list.len(),
-                });
-            }
             rounds += 1;
-            // Crashes fire at the start of their round, before any node
-            // steps: the node freezes its last state (visible to neighbors
+            // A crashed node freezes its last state (visible to neighbors
             // forever, like a halted node) but will never output.
-            if let Some(nodes) = crash_sched.get(&rounds) {
-                for &v in nodes {
-                    if let Ok(pos) = live_list.binary_search(&v) {
-                        live_list.remove(pos);
-                        nxt[v.index()] = cur[v.index()].clone();
-                        crashed += 1;
-                        self.probe.emit_with(|| Event::Fault {
-                            scope: EXEC_SCOPE.to_string(),
-                            round: rounds - 1,
-                            kind: FaultKind::Crash,
-                            node: Some(u64::from(v.0)),
-                            count: 1,
-                        });
-                    }
-                }
-            }
-            c_live.set(live_list.len() as i64);
+            book.start(rounds, max_rounds, &mut live_list, |v| {
+                nxt[v.index()] = cur[v.index()].clone();
+            })?;
             if let Some(m) = &m_rounds {
                 m.incr();
             }
@@ -419,302 +281,70 @@ impl<'g> Executor<'g> {
                 w.record(live_list.len() as u64);
             }
             let round_start = m_round_ns.as_ref().map(|_| std::time::Instant::now());
-            let mut dropped = 0i64;
-            let mut stalled = 0i64;
-            if self.threads > 1 && live_list.len() > 1 {
-                let segs = par::segments_weighted(&live_list, self.threads, offsets);
-                let ranges = par::segment_ranges(&segs);
-                // Each worker owns the contiguous port range of its node
-                // range, so the drop cache splits without overlap.
-                let port_ranges: Vec<(usize, usize)> = if drop_on {
-                    ranges
-                        .iter()
-                        .map(|&(lo, hi)| (offsets[lo], offsets[hi]))
-                        .collect()
-                } else {
-                    ranges.iter().map(|_| (0, 0)).collect()
-                };
-                let nxt_slices = par::split_ranges(&mut nxt, &ranges);
-                let out_slices = par::split_ranges(&mut outputs, &ranges);
-                let seen_slices = par::split_ranges(&mut seen, &port_ranges);
-                let cur_ref = &cur;
-                let plan_ref = plan;
-                // Pool slot i owns segment i; slots past the segment
-                // count idle this epoch. The static assignment (plus the
-                // merge below walking scratches in slot order) keeps the
-                // schedule — and thus every counter — bit-identical to
-                // the sequential path.
-                let work: WorkCells<'_, A::State, A::Output> = segs
-                    .iter()
-                    .zip(ranges.iter().zip(port_ranges.iter()))
-                    .zip(
-                        nxt_slices
-                            .into_iter()
-                            .zip(out_slices.into_iter().zip(seen_slices)),
-                    )
-                    .map(|((seg, (&(lo, _), &(plo, _))), (nxt_s, (out_s, seen_s)))| {
-                        Mutex::new(Some(SegWork {
-                            seg,
-                            lo,
-                            plo,
-                            nxt_s,
-                            out_s,
-                            seen_s,
-                        }))
-                    })
-                    .collect();
-                let pool = pool_lease.get_or_insert_with(|| pool::lease(self.threads));
-                pool.run_epoch(&|slot| {
-                    let Some(w) = work
-                        .get(slot)
-                        .and_then(|m| m.lock().expect("work slot poisoned").take())
-                    else {
-                        return;
-                    };
-                    let mut guard = scratches[slot].lock().expect("scratch poisoned");
-                    let sc = &mut *guard;
-                    let seg_start = meter_segments.then(std::time::Instant::now);
-                    for &v in w.seg {
-                        if jitter_on && plan_ref.stalls(v, rounds) {
-                            // Keep the state across the buffer swap; the
-                            // node stays live.
-                            w.nxt_s[v.index() - w.lo] = cur_ref[v.index()].clone();
-                            sc.stalled += 1;
-                            sc.survivors.push(v);
-                            continue;
-                        }
-                        sc.nbr_buf.clear();
-                        if drop_on {
-                            let base = offsets[v.index()];
-                            for (p, nb) in graph.neighbors(v).iter().enumerate() {
-                                let slot = base + p;
-                                if plan_ref.drops_message(rounds, slot) {
-                                    sc.dropped += 1;
-                                } else {
-                                    w.seen_s[slot - w.plo] = cur_ref[nb.index()].clone();
-                                }
-                            }
-                            let deg = graph.neighbors(v).len();
-                            sc.nbr_buf
-                                .extend(w.seen_s[base - w.plo..base - w.plo + deg].iter().cloned());
-                            sc.msgs += deg as i64;
-                        } else {
-                            sc.nbr_buf.extend(
-                                graph
-                                    .neighbors(v)
-                                    .iter()
-                                    .map(|nb| cur_ref[nb.index()].clone()),
-                            );
-                            sc.msgs += sc.nbr_buf.len() as i64;
-                        }
-                        let ctx = make_ctx(v, rounds);
-                        match algo.step(&ctx, &cur_ref[v.index()], &sc.nbr_buf) {
-                            Transition::Continue(s) => {
-                                w.nxt_s[v.index() - w.lo] = s;
-                                sc.survivors.push(v);
-                            }
-                            Transition::Halt(o) => {
-                                w.out_s[v.index() - w.lo] = Some(o);
-                                w.nxt_s[v.index() - w.lo] = cur_ref[v.index()].clone();
-                            }
-                        }
-                    }
-                    sc.seg_ns = seg_start
-                        .map(|s| u64::try_from(s.elapsed().as_nanos()).unwrap_or(u64::MAX));
-                });
-                // Merge in segment (= slot) order: counters and the
-                // compacted worklist come out identical to the
-                // sequential schedule.
-                let seg_count = segs.len();
-                drop(work);
-                let before = live_list.len();
-                live_list.clear();
-                for m in scratches.iter().take(seg_count) {
-                    let mut guard = m.lock().expect("scratch poisoned");
-                    let sc = &mut *guard;
-                    c_msgs.add(sc.msgs);
-                    sc.msgs = 0;
-                    dropped += sc.dropped;
-                    sc.dropped = 0;
-                    stalled += sc.stalled;
-                    sc.stalled = 0;
-                    live_list.append(&mut sc.survivors);
-                    if let (Some(h), Some(ns)) = (&m_segment_ns, sc.seg_ns.take()) {
-                        h.observe(ns);
-                    }
-                }
-                c_halted.add((before - live_list.len()) as i64);
-            } else if use_soa {
-                // Sequential SoA arm (fault-free, sparse): read the
-                // contiguous port-arena inbox, scatter the new state into
-                // neighbors' write-arena slots.
-                let rev = rev.expect("reverse ports computed for SoA runs");
-                let mut msgs = 0i64;
-                let mut halts = 0i64;
-                // Manual compaction instead of `Vec::retain`: the retain
-                // closure boundary costs ~40% on fine-grained steps (see
-                // docs/PERFORMANCE.md), and an index loop writes the
-                // survivor list with the same single pass.
-                let mut kept = 0usize;
-                for i in 0..live_list.len() {
-                    let v = live_list[i];
-                    let base = offsets[v.index()];
-                    let deg = offsets[v.index() + 1] - base;
-                    msgs += deg as i64;
-                    let ctx = make_ctx(v, rounds);
-                    match algo.step(&ctx, &cur[v.index()], &cur_ports[base..base + deg]) {
-                        Transition::Continue(s) => {
-                            for (p, w) in graph.neighbors(v).iter().enumerate() {
-                                nxt_ports[offsets[w.index()] + rev[base + p] as usize] = s.clone();
-                            }
-                            nxt[v.index()] = s;
-                            live_list[kept] = v;
-                            kept += 1;
-                        }
-                        Transition::Halt(o) => {
-                            outputs[v.index()] = Some(o);
-                            let frozen = cur[v.index()].clone();
-                            // Freeze into the write arena too: the read
-                            // arena already holds this state, so after
-                            // this round both buffers agree on v forever.
-                            for (p, w) in graph.neighbors(v).iter().enumerate() {
-                                nxt_ports[offsets[w.index()] + rev[base + p] as usize] =
-                                    frozen.clone();
-                            }
-                            nxt[v.index()] = frozen;
-                            halts += 1;
-                        }
-                    }
-                }
-                live_list.truncate(kept);
-                c_msgs.add(msgs);
-                c_halted.add(halts);
-            } else if clean {
-                // Sequential fault-free gather arm (dense graphs, or a
-                // parallel run compacted down to one live node): no fault
-                // branches, counters accumulated locally and flushed once
-                // per round.
-                let mut msgs = 0i64;
-                let mut halts = 0i64;
-                // Manual compaction, same rationale as the SoA arm above.
-                let mut kept = 0usize;
-                for i in 0..live_list.len() {
-                    let v = live_list[i];
-                    nbr_buf.clear();
-                    nbr_buf.extend(graph.neighbors(v).iter().map(|w| cur[w.index()].clone()));
-                    // A live node observes one state per incident edge this
-                    // round: one message per edge endpoint (frozen states of
-                    // halted neighbors included — see the Event::Round docs).
-                    msgs += nbr_buf.len() as i64;
-                    let ctx = make_ctx(v, rounds);
-                    match algo.step(&ctx, &cur[v.index()], &nbr_buf) {
-                        Transition::Continue(s) => {
-                            nxt[v.index()] = s;
-                            live_list[kept] = v;
-                            kept += 1;
-                        }
-                        Transition::Halt(o) => {
-                            outputs[v.index()] = Some(o);
-                            nxt[v.index()] = cur[v.index()].clone();
-                            halts += 1;
-                        }
-                    }
-                }
-                live_list.truncate(kept);
-                c_msgs.add(msgs);
-                c_halted.add(halts);
+            // One segment (sequential runs, or a single live node) is
+            // stepped inline; several go to the pool, slot i owning
+            // segment i. Either way each segment owns the contiguous node
+            // range (and, under drops, port range) it covers, and the
+            // merge below walks the slots in order — so the schedule, and
+            // thus every counter, is bit-identical at every width.
+            let segs = par::segments_weighted(&live_list, self.threads, offsets);
+            let seg_count = segs.len();
+            let ranges = par::segment_ranges(&segs);
+            let port_ranges: Vec<(usize, usize)> = if drop_on {
+                let ports = |&(lo, hi): &(usize, usize)| (offsets[lo], offsets[hi]);
+                ranges.iter().map(ports).collect()
             } else {
-                live_list.retain(|&v| {
-                    if jitter_on && plan.stalls(v, rounds) {
-                        // Stalled: skip the step but keep the state across
-                        // the buffer swap; the node stays live.
-                        nxt[v.index()] = cur[v.index()].clone();
-                        stalled += 1;
-                        return true;
-                    }
-                    nbr_buf.clear();
-                    if drop_on {
-                        let base = offsets[v.index()];
-                        for (p, w) in graph.neighbors(v).iter().enumerate() {
-                            let slot = base + p;
-                            if plan.drops_message(rounds, slot) {
-                                dropped += 1;
-                            } else {
-                                seen[slot] = cur[w.index()].clone();
-                            }
-                        }
-                        let deg = graph.neighbors(v).len();
-                        nbr_buf.extend(seen[base..base + deg].iter().cloned());
-                        c_msgs.add(deg as i64);
-                    } else {
-                        nbr_buf.extend(graph.neighbors(v).iter().map(|w| cur[w.index()].clone()));
-                        // A live node observes one state per incident edge this
-                        // round: one message per edge endpoint (frozen states of
-                        // halted neighbors included — see the Event::Round docs).
-                        c_msgs.add(nbr_buf.len() as i64);
-                    }
-                    let ctx = make_ctx(v, rounds);
-                    match algo.step(&ctx, &cur[v.index()], &nbr_buf) {
-                        Transition::Continue(s) => {
-                            nxt[v.index()] = s;
-                            true
-                        }
-                        Transition::Halt(o) => {
-                            outputs[v.index()] = Some(o);
-                            // Freeze the final state in the write buffer:
-                            // both buffers now agree on v forever, so swaps
-                            // keep it visible to running neighbors.
-                            nxt[v.index()] = cur[v.index()].clone();
-                            c_halted.inc();
-                            false
-                        }
-                    }
-                });
-            }
-            if dropped > 0 {
-                if let Some(c) = &c_dropped {
-                    c.add(dropped);
+                vec![(0, 0); seg_count]
+            };
+            let work: Vec<_> = segs
+                .iter()
+                .zip(&ranges)
+                .zip(&port_ranges)
+                .zip(par::split_ranges(&mut nxt, &ranges))
+                .zip(par::split_ranges(&mut outputs, &ranges))
+                .zip(par::split_ranges(&mut seen, &port_ranges))
+                .map(
+                    |(((((&seg, &(lo, _)), &(port_lo, _)), nxt), outputs), seen)| {
+                        let bufs = SegBufs {
+                            lo,
+                            nxt,
+                            outputs,
+                            port_lo,
+                            seen,
+                        };
+                        Mutex::new(Some((seg, bufs)))
+                    },
+                )
+                .collect();
+            let step = |slot: usize| {
+                let Some((seg, bufs)) = par::take_work(&work, slot) else {
+                    return;
+                };
+                let mut guard = scratches[slot].lock().expect("scratch poisoned");
+                let (scratch, tally) = &mut *guard;
+                let timer = m_segment_ns.as_ref().filter(|_| seg_count > 1);
+                let seg_start = timer.map(|_| std::time::Instant::now());
+                *tally = kernel.step_segment(rounds, seg, &cur, bufs, scratch, |_, _, _| {});
+                if let (Some(h), Some(start)) = (timer, seg_start) {
+                    h.observe(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX));
                 }
-                self.probe.emit_with(|| Event::Fault {
-                    scope: EXEC_SCOPE.to_string(),
-                    round: rounds - 1,
-                    kind: FaultKind::Drop,
-                    node: None,
-                    count: dropped as u64,
-                });
-            }
-            if stalled > 0 {
-                if let Some(c) = &c_stalled {
-                    c.add(stalled);
-                }
-                self.probe.emit_with(|| Event::Fault {
-                    scope: EXEC_SCOPE.to_string(),
-                    round: rounds - 1,
-                    kind: FaultKind::Stall,
-                    node: None,
-                    count: stalled as u64,
-                });
+            };
+            par::run_segments(&mut pool_lease, self.threads, seg_count, &step);
+            drop(work);
+            let mut tally = Tally::default();
+            live_list.clear();
+            for m in scratches.iter_mut().take(seg_count) {
+                let (scratch, t) = m.get_mut().expect("scratch poisoned");
+                tally += *t;
+                live_list.append(&mut scratch.survivors);
             }
             std::mem::swap(&mut cur, &mut nxt);
-            if use_soa {
-                std::mem::swap(&mut cur_ports, &mut nxt_ports);
-            }
-            g_halted_frac.set((n - live_list.len()) as f64 / n as f64);
-            registry.emit_round(&self.probe, EXEC_SCOPE, rounds - 1);
+            book.finish(rounds, tally, live_list.len(), n);
             if let (Some(h), Some(start)) = (&m_round_ns, round_start) {
                 h.observe(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX));
             }
         }
-        if crashed > 0 {
-            return Err(SimError::Crashed { crashed, rounds });
-        }
-        Ok(RunResult {
-            outputs: outputs
-                .into_iter()
-                .map(|o| o.expect("all nodes halted"))
-                .collect(),
-            rounds,
-        })
+        kernel::outcome(book.crashed, rounds, outputs)
     }
 }
 
@@ -892,15 +522,6 @@ mod tests {
         use telemetry::RecordingSink;
 
         let g = graphgen::generators::gnp(37, 0.15, 5);
-        // This graph must sit inside the SoA density window so the
-        // sequential side runs the port-arena arm and this test pins
-        // SoA-vs-gather (parallel runs always gather) equivalence.
-        let ports = g.csr_offsets()[g.n()];
-        assert!(
-            ports >= SOA_MIN_AVG_DEGREE * g.n() && ports <= SOA_MAX_AVG_DEGREE * g.n(),
-            "test graph left the SoA window (avg degree {:.2})",
-            ports as f64 / g.n() as f64
-        );
         let seq_sink = std::sync::Arc::new(RecordingSink::new());
         let seq = Executor::new(&g)
             .with_probe(Probe::new(seq_sink.clone()))

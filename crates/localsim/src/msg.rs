@@ -9,23 +9,20 @@
 //! *messages* (and the basis for a CONGEST mode, where per-port messages
 //! would be size-capped).
 
+use std::ops::Range;
 use std::sync::Mutex;
 
 use graphgen::{Graph, NodeId};
-use telemetry::{Event, FaultKind, Probe, Registry};
+use telemetry::Probe;
 
 use crate::exec::{NodeCtx, RunResult, SimError};
 use crate::faults::FaultPlan;
+use crate::kernel::{self, RoundBook, Tally};
 use crate::par;
 use crate::pool;
 
 /// Scope string under which [`MessageExecutor`] emits per-round events.
 pub const MSG_SCOPE: &str = "localsim/msg";
-
-/// Slot-indexed work cells for one parallel phase-1 epoch: each cell is
-/// `(segment, segment base index, that segment's state slice)`, taken
-/// by pool slot `i` through a shared reference.
-type MsgWorkCells<'a, S> = Vec<Mutex<Option<(&'a [NodeId], usize, &'a mut [S])>>>;
 
 /// What a node does after processing one round of messages.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -89,65 +86,79 @@ pub struct MessageExecutor<'g> {
     faults: Option<FaultPlan>,
 }
 
-/// Writes `outs` from `v` into the flat inbox arena for the next round,
-/// recording every touched slot so the arena can be cleared in place.
-/// Returns the number of messages sent (dropped ones included — they
-/// were transmitted, then lost).
-///
-/// The arena is port-indexed through the graph's CSR offsets: slot
-/// `offsets[w] + q` is port `q` of node `w`. The receiving port is an
-/// O(1) lookup in the precomputed reverse-port table (indexed by the
-/// *sender's* slot), replacing a per-message binary search.
-///
-/// With an active fault plan, each message is dropped iff the plan's
-/// seed-keyed decision for `(round, destination slot)` fires — a pure
-/// function of the slot, so delivery order never matters.
-#[allow(clippy::too_many_arguments)]
-fn deliver<M>(
-    graph: &Graph,
-    offsets: &[usize],
-    rev: &[u32],
-    arena: &mut [Option<M>],
-    dirty: &mut Vec<usize>,
-    v: NodeId,
-    outs: Vec<Outgoing<M>>,
-    faults: Option<(&FaultPlan, u64)>,
-    dropped: &mut i64,
-) -> i64 {
-    let sent = outs.len() as i64;
-    let nbrs = graph.neighbors(v);
-    let base = offsets[v.index()];
-    for out in outs {
-        let w = nbrs[out.port];
-        let slot = offsets[w.index()] + rev[base + out.port] as usize;
-        if let Some((plan, round)) = faults {
-            if plan.drops_message(round, slot) {
+/// One round's inbox arena: a flat port-indexed slice through the
+/// graph's CSR offsets (slot `offsets[w] + q` is port `q` of node `w`),
+/// plus the dirty list of the slots written, so it clears in place.
+struct Inbox<M> {
+    slots: Vec<Option<M>>,
+    dirty: Vec<usize>,
+}
+
+impl<M: Clone> Inbox<M> {
+    fn new(ports: usize) -> Self {
+        Inbox {
+            slots: (0..ports).map(|_| None).collect(),
+            dirty: Vec::new(),
+        }
+    }
+
+    /// Writes `outs` from `v` into the arena. Returns the number of
+    /// messages sent (dropped ones included — they were transmitted,
+    /// then lost).
+    ///
+    /// The receiving port is an O(1) lookup in the precomputed
+    /// reverse-port table (indexed by the *sender's* slot), replacing a
+    /// per-message binary search. With an active fault plan, each
+    /// message is dropped iff the plan's seed-keyed decision for
+    /// `(round, destination slot)` fires — a pure function of the slot,
+    /// so delivery order never matters.
+    fn deliver(
+        &mut self,
+        graph: &Graph,
+        rev: &[u32],
+        v: NodeId,
+        outs: impl IntoIterator<Item = Outgoing<M>>,
+        faults: Option<(&FaultPlan, u64)>,
+        dropped: &mut i64,
+    ) -> i64 {
+        let mut sent = 0;
+        let offsets = graph.csr_offsets();
+        let nbrs = graph.neighbors(v);
+        let base = offsets[v.index()];
+        for out in outs {
+            sent += 1;
+            let w = nbrs[out.port];
+            let slot = offsets[w.index()] + rev[base + out.port] as usize;
+            if faults.is_some_and(|(plan, round)| plan.drops_message(round, slot)) {
                 *dropped += 1;
                 continue;
             }
+            self.slots[slot] = Some(out.msg);
+            self.dirty.push(slot);
         }
-        arena[slot] = Some(out.msg);
-        dirty.push(slot);
+        sent
     }
-    sent
-}
 
-/// Carries a stalled node's undelivered inbox over to the next round's
-/// arena (bounded-asynchrony semantics: a stalled node's messages wait on
-/// the link). A slot already written by this round's delivery keeps the
-/// newer message — the link buffers one message per port.
-fn retain_inbox<M: Clone>(
-    offsets: &[usize],
-    cur: &[Option<M>],
-    nxt: &mut [Option<M>],
-    dirty: &mut Vec<usize>,
-    v: NodeId,
-) {
-    for slot in offsets[v.index()]..offsets[v.index() + 1] {
-        if cur[slot].is_some() && nxt[slot].is_none() {
-            nxt[slot] = cur[slot].clone();
-            dirty.push(slot);
+    /// Carries a stalled node's undelivered inbox `ports` of `cur` over
+    /// (bounded-asynchrony semantics: a stalled node's messages wait on
+    /// the link). A slot already written by this round's delivery keeps
+    /// the newer message — the link buffers one message per port.
+    fn retain(&mut self, cur: &Inbox<M>, ports: Range<usize>) {
+        for slot in ports {
+            if cur.slots[slot].is_some() && self.slots[slot].is_none() {
+                self.slots[slot] = cur.slots[slot].clone();
+                self.dirty.push(slot);
+            }
         }
+    }
+
+    /// Clears the touched slots; returns how many there were.
+    fn clear(&mut self) -> usize {
+        let touched = self.dirty.len();
+        for slot in self.dirty.drain(..) {
+            self.slots[slot] = None;
+        }
+        touched
     }
 }
 
@@ -186,7 +197,7 @@ impl<'g> MessageExecutor<'g> {
     }
 
     /// Opts into deterministic parallel stepping with `k` worker threads
-    /// (`k <= 1` keeps the sequential path).
+    /// (`k <= 1` steps every round on the calling thread).
     ///
     /// Rounds split into two phases: node steps run in parallel over
     /// contiguous worklist segments (reading only the previous round's
@@ -203,8 +214,8 @@ impl<'g> MessageExecutor<'g> {
     ///
     /// Inboxes live in two flat port-indexed arenas (one slice of length
     /// 2m for the whole graph) that are swapped every round and cleared
-    /// in place via a dirty list — no per-round allocation — and halted
-    /// nodes are skipped via a compacting live worklist.
+    /// in place via a dirty list — no per-round arena allocation — and
+    /// halted nodes are skipped via a compacting live worklist.
     ///
     /// # Errors
     ///
@@ -219,18 +230,11 @@ impl<'g> MessageExecutor<'g> {
         P::Output: Send,
     {
         let n = self.graph.n();
-        if n == 0 {
-            return Ok(RunResult {
-                outputs: Vec::new(),
-                rounds: 0,
-            });
-        }
         // Per-run invariants, hoisted out of the per-node hot loop.
         let graph = self.graph;
         let max_degree = graph.max_degree();
         let offsets = graph.csr_offsets();
         let rev = graph.reverse_ports();
-        let total_ports = offsets[n];
         let make_ctx = move |v: NodeId, round: u64| NodeCtx {
             node: v,
             uid: u64::from(v.0),
@@ -240,16 +244,11 @@ impl<'g> MessageExecutor<'g> {
             max_degree,
         };
         let mut outputs: Vec<Option<P::Output>> = (0..n).map(|_| None).collect();
-        let mut cur: Vec<Option<P::Msg>> = (0..total_ports).map(|_| None).collect();
-        let mut nxt: Vec<Option<P::Msg>> = (0..total_ports).map(|_| None).collect();
-        let mut dirty_cur: Vec<usize> = Vec::new();
-        let mut dirty_nxt: Vec<usize> = Vec::new();
-        let mut registry = Registry::new();
-        let c_live = registry.counter("live_nodes");
-        let c_halted = registry.counter("halted");
-        let c_msgs = registry.counter("messages_sent");
-        let c_inbox = registry.counter("inbox_bytes");
-        let g_halted_frac = registry.gauge("halted_fraction");
+        let mut cur: Inbox<P::Msg> = Inbox::new(offsets[n]);
+        let mut nxt: Inbox<P::Msg> = Inbox::new(offsets[n]);
+        let plan = self.faults.as_ref();
+        let mut book = RoundBook::new(MSG_SCOPE, &self.probe, plan, &["inbox_bytes"]);
+        let c_inbox = book.counter("inbox_bytes");
         // Metric handles (None when no hub is attached — the hot loop then
         // takes no timestamps). `msg.arena_peak` / `msg.dirty_slots` track
         // inbox-arena occupancy and compaction work via the dirty list.
@@ -260,76 +259,34 @@ impl<'g> MessageExecutor<'g> {
         let m_round_ns = hub.map(|h| h.histogram("msg.round_ns"));
         // Fault machinery — inert unless a plan is active, so fault-free
         // runs keep byte-identical telemetry.
-        let inert = FaultPlan::default();
-        let plan = self.faults.as_ref().unwrap_or(&inert);
-        let drop_on = plan.message_drop_p > 0.0;
-        let jitter_on = plan.round_jitter > 0;
-        let crash_sched = plan.crash_schedule();
-        let c_dropped = drop_on.then(|| registry.counter("messages_dropped"));
-        let c_stalled = jitter_on.then(|| registry.counter("stalled_nodes"));
-        let drop_ctx = |round: u64| drop_on.then_some((plan, round));
-        let mut crashed = 0usize;
+        let jitter = plan.filter(|p| p.round_jitter > 0);
+        let drops = plan.filter(|p| p.message_drop_p > 0.0);
+        let drop_ctx = |round: u64| drops.map(|p| (p, round));
         let mut init_dropped = 0i64;
+        // Init reads no inbox, so each node's first sends land as it goes.
         let mut states: Vec<P::State> = Vec::with_capacity(n);
-        {
-            let mut first_outs = Vec::with_capacity(n);
-            for v in graph.vertices() {
-                let (st, outs) = prog.init(&make_ctx(v, 0));
-                states.push(st);
-                first_outs.push(outs);
-            }
-            for (v, outs) in graph.vertices().zip(first_outs) {
-                c_msgs.add(deliver(
-                    graph,
-                    offsets,
-                    rev,
-                    &mut cur,
-                    &mut dirty_cur,
-                    v,
-                    outs,
-                    drop_ctx(0),
-                    &mut init_dropped,
-                ));
-            }
+        for v in graph.vertices() {
+            let (st, outs) = prog.init(&make_ctx(v, 0));
+            states.push(st);
+            book.msgs
+                .add(cur.deliver(graph, rev, v, outs, drop_ctx(0), &mut init_dropped));
         }
         let mut live_list: Vec<NodeId> = graph.vertices().collect();
         let mut rounds = 0u64;
-        // Parallel phase-1 machinery: the worker pool is leased once per
-        // run (first parallel round) and parked between rounds; the
-        // per-slot transition buffers persist across rounds.
+        // The worker pool is leased on the first round with more than
+        // one segment and parked between rounds. Each slot keeps, across
+        // rounds, its stepped nodes (`None` if stalled, else how many of
+        // the slot's buffered sends are the node's and its output if it
+        // halted) and those sends in order: moving them out at once frees
+        // each step's `Vec` while the allocator still has it cached.
         let mut pool_lease: Option<pool::PoolLease> = None;
-        #[allow(clippy::type_complexity)]
-        let transition_bufs: Vec<
-            Mutex<Vec<(NodeId, Option<MsgTransition<P::Msg, P::Output>>)>>,
-        > = (0..if self.threads > 1 { self.threads } else { 0 })
-            .map(|_| Mutex::new(Vec::new()))
+        let mut step_bufs: Vec<Mutex<(Vec<_>, Vec<_>)>> = (0..self.threads)
+            .map(|_| Mutex::new((Vec::new(), Vec::new())))
             .collect();
         while !live_list.is_empty() {
-            if rounds >= max_rounds {
-                return Err(SimError::RoundLimitExceeded {
-                    limit: max_rounds,
-                    still_running: live_list.len(),
-                });
-            }
             rounds += 1;
-            // Crashes fire at the start of their round, before any node
-            // steps; the node's pending inbox dies with it.
-            if let Some(nodes) = crash_sched.get(&rounds) {
-                for &v in nodes {
-                    if let Ok(pos) = live_list.binary_search(&v) {
-                        live_list.remove(pos);
-                        crashed += 1;
-                        self.probe.emit_with(|| Event::Fault {
-                            scope: MSG_SCOPE.to_string(),
-                            round: rounds - 1,
-                            kind: FaultKind::Crash,
-                            node: Some(u64::from(v.0)),
-                            count: 1,
-                        });
-                    }
-                }
-            }
-            c_live.set(live_list.len() as i64);
+            // A crashed node's pending inbox dies with it.
+            book.start(rounds, max_rounds, &mut live_list, |_| {})?;
             if let Some(c) = &m_rounds {
                 c.incr();
             }
@@ -337,206 +294,93 @@ impl<'g> MessageExecutor<'g> {
             // Drops are accounted to the round event of the round in which
             // the executor processed the send; init-time sends fold into
             // the first round's event.
-            let mut dropped = std::mem::take(&mut init_dropped);
-            let mut stalled = 0i64;
+            let mut tally = Tally {
+                dropped: std::mem::take(&mut init_dropped),
+                ..Tally::default()
+            };
             if self.probe.enabled() {
-                let pending = cur.iter().filter(|m| m.is_some()).count();
+                let pending = cur.slots.iter().filter(|m| m.is_some()).count();
                 c_inbox.set((pending * std::mem::size_of::<P::Msg>()) as i64);
             }
-            if self.threads > 1 && live_list.len() > 1 {
-                // Phase 1 (parallel): step every live node against the
-                // read-only current arena, collecting transitions. Pool
-                // slot i owns segment i; the degree-weighted split keeps
-                // hub-heavy segments from serializing the round.
-                let segs = par::segments_weighted(&live_list, self.threads, offsets);
-                let ranges = par::segment_ranges(&segs);
-                let state_slices = par::split_ranges(&mut states, &ranges);
-                let cur_ref = &cur;
-                let plan_ref = plan;
-                // Phase 1 collects `None` for stalled nodes so phase 2 can
-                // carry their inboxes over in the same ascending order the
-                // sequential schedule uses.
-                let work: MsgWorkCells<'_, P::State> = segs
-                    .iter()
-                    .zip(ranges.iter())
-                    .zip(state_slices)
-                    .map(|((seg, &(lo, _)), st_s)| Mutex::new(Some((*seg, lo, st_s))))
-                    .collect();
-                let pool = pool_lease.get_or_insert_with(|| pool::lease(self.threads));
-                pool.run_epoch(&|slot| {
-                    let Some((seg, lo, st_s)) = work
-                        .get(slot)
-                        .and_then(|m| m.lock().expect("work slot poisoned").take())
-                    else {
-                        return;
-                    };
-                    let mut out = transition_bufs[slot].lock().expect("buffer poisoned");
-                    for &v in seg {
-                        if jitter_on && plan_ref.stalls(v, rounds) {
-                            out.push((v, None));
-                            continue;
-                        }
-                        let ctx = make_ctx(v, rounds);
-                        let inbox = &cur_ref[offsets[v.index()]..offsets[v.index() + 1]];
-                        let t = prog.step(&ctx, &mut st_s[v.index() - lo], inbox);
-                        out.push((v, Some(t)));
-                    }
-                });
-                // Phase 2 (sequential, ascending node order): deliver and
-                // account, exactly as the sequential schedule would —
-                // draining the slot buffers in segment order (allocations
-                // survive for the next round).
-                let seg_count = segs.len();
-                drop(work);
-                live_list.clear();
-                for buf in transition_bufs.iter().take(seg_count) {
-                    let mut buf = buf.lock().expect("buffer poisoned");
-                    for (v, t) in buf.drain(..) {
-                        match t {
-                            None => {
-                                retain_inbox(offsets, &cur, &mut nxt, &mut dirty_nxt, v);
-                                stalled += 1;
-                                live_list.push(v);
-                            }
-                            Some(MsgTransition::Continue(outs)) => {
-                                c_msgs.add(deliver(
-                                    graph,
-                                    offsets,
-                                    rev,
-                                    &mut nxt,
-                                    &mut dirty_nxt,
-                                    v,
-                                    outs,
-                                    drop_ctx(rounds),
-                                    &mut dropped,
-                                ));
-                                live_list.push(v);
-                            }
-                            Some(MsgTransition::HaltAfter(outs, o)) => {
-                                c_msgs.add(deliver(
-                                    graph,
-                                    offsets,
-                                    rev,
-                                    &mut nxt,
-                                    &mut dirty_nxt,
-                                    v,
-                                    outs,
-                                    drop_ctx(rounds),
-                                    &mut dropped,
-                                ));
-                                outputs[v.index()] = Some(o);
-                                c_halted.inc();
-                            }
-                        }
-                    }
-                }
-            } else {
-                // Manual compaction instead of `Vec::retain`: the retain
-                // closure boundary measurably taxes fine-grained steps
-                // (see docs/PERFORMANCE.md); an index loop writes the
-                // survivor list in the same single ascending pass.
-                let mut kept = 0usize;
-                for i in 0..live_list.len() {
-                    let v = live_list[i];
-                    if jitter_on && plan.stalls(v, rounds) {
-                        // Stalled: skip the step; pending messages wait on
-                        // the link for the next round.
-                        retain_inbox(offsets, &cur, &mut nxt, &mut dirty_nxt, v);
-                        stalled += 1;
-                        live_list[kept] = v;
-                        kept += 1;
+            // Phase 1: step every live node against the read-only current
+            // arena, collecting transitions.
+            // One segment is stepped inline; several go to the pool, slot
+            // i owning segment i of the degree-weighted split.
+            let segs = par::segments_weighted(&live_list, self.threads, offsets);
+            let seg_count = segs.len();
+            let ranges = par::segment_ranges(&segs);
+            let work: Vec<_> = segs
+                .iter()
+                .zip(ranges.iter())
+                .zip(par::split_ranges(&mut states, &ranges))
+                .map(|((seg, &(lo, _)), st_s)| Mutex::new(Some((*seg, lo, st_s))))
+                .collect();
+            let step = |slot: usize| {
+                let Some((seg, lo, st_s)) = par::take_work(&work, slot) else {
+                    return;
+                };
+                let mut guard = step_bufs[slot].lock().expect("buffer poisoned");
+                let (steps, sends) = &mut *guard;
+                for &v in seg {
+                    if jitter.is_some_and(|p| p.stalls(v, rounds)) {
+                        steps.push((v, None));
                         continue;
                     }
-                    let ctx = make_ctx(v, rounds);
-                    let inbox = &cur[offsets[v.index()]..offsets[v.index() + 1]];
-                    match prog.step(&ctx, &mut states[v.index()], inbox) {
-                        MsgTransition::Continue(outs) => {
-                            c_msgs.add(deliver(
-                                graph,
-                                offsets,
-                                rev,
-                                &mut nxt,
-                                &mut dirty_nxt,
-                                v,
-                                outs,
-                                drop_ctx(rounds),
-                                &mut dropped,
-                            ));
-                            live_list[kept] = v;
-                            kept += 1;
-                        }
-                        MsgTransition::HaltAfter(outs, o) => {
-                            c_msgs.add(deliver(
-                                graph,
-                                offsets,
-                                rev,
-                                &mut nxt,
-                                &mut dirty_nxt,
-                                v,
-                                outs,
-                                drop_ctx(rounds),
-                                &mut dropped,
-                            ));
+                    let st = &mut st_s[v.index() - lo];
+                    let inbox = &cur.slots[offsets[v.index()]..offsets[v.index() + 1]];
+                    let (mut outs, output) = match prog.step(&make_ctx(v, rounds), st, inbox) {
+                        MsgTransition::Continue(outs) => (outs, None),
+                        MsgTransition::HaltAfter(outs, o) => (outs, Some(o)),
+                    };
+                    steps.push((v, Some((outs.len(), output))));
+                    sends.append(&mut outs);
+                }
+            };
+            par::run_segments(&mut pool_lease, self.threads, seg_count, &step);
+            // Phase 2 (calling thread, ascending node order): deliver and
+            // account, draining the slot buffers in segment order
+            // (allocations survive for the next round).
+            live_list.clear();
+            for buf in step_bufs.iter_mut().take(seg_count) {
+                let (steps, sends) = buf.get_mut().expect("buffer poisoned");
+                let mut sends = sends.drain(..);
+                for (v, stepped) in steps.drain(..) {
+                    // Stalled: pending messages wait on the link for the
+                    // next round.
+                    let Some((count, output)) = stepped else {
+                        nxt.retain(&cur, offsets[v.index()]..offsets[v.index() + 1]);
+                        tally.stalled += 1;
+                        live_list.push(v);
+                        continue;
+                    };
+                    let outs = sends.by_ref().take(count);
+                    tally.msgs +=
+                        nxt.deliver(graph, rev, v, outs, drop_ctx(rounds), &mut tally.dropped);
+                    match output {
+                        Some(o) => {
                             outputs[v.index()] = Some(o);
-                            c_halted.inc();
+                            tally.halts += 1;
                         }
+                        None => live_list.push(v),
                     }
                 }
-                live_list.truncate(kept);
-            }
-            if dropped > 0 {
-                if let Some(c) = &c_dropped {
-                    c.add(dropped);
-                }
-                self.probe.emit_with(|| Event::Fault {
-                    scope: MSG_SCOPE.to_string(),
-                    round: rounds - 1,
-                    kind: FaultKind::Drop,
-                    node: None,
-                    count: dropped as u64,
-                });
-            }
-            if stalled > 0 {
-                if let Some(c) = &c_stalled {
-                    c.add(stalled);
-                }
-                self.probe.emit_with(|| Event::Fault {
-                    scope: MSG_SCOPE.to_string(),
-                    round: rounds - 1,
-                    kind: FaultKind::Stall,
-                    node: None,
-                    count: stalled as u64,
-                });
             }
             // Recycle the consumed arena: clear only the touched slots,
             // then swap it in as next round's write buffer.
+            let touched = cur.clear() as u64;
             if let Some(w) = &m_arena_peak {
-                w.record(dirty_cur.len() as u64);
+                w.record(touched);
             }
             if let Some(c) = &m_dirty {
-                c.add(dirty_cur.len() as u64);
-            }
-            for slot in dirty_cur.drain(..) {
-                cur[slot] = None;
+                c.add(touched);
             }
             std::mem::swap(&mut cur, &mut nxt);
-            std::mem::swap(&mut dirty_cur, &mut dirty_nxt);
-            g_halted_frac.set((n - live_list.len()) as f64 / n as f64);
-            registry.emit_round(&self.probe, MSG_SCOPE, rounds - 1);
+            book.finish(rounds, tally, live_list.len(), n);
             if let (Some(h), Some(start)) = (&m_round_ns, round_start) {
                 h.observe(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX));
             }
         }
-        if crashed > 0 {
-            return Err(SimError::Crashed { crashed, rounds });
-        }
-        Ok(RunResult {
-            outputs: outputs
-                .into_iter()
-                .map(|o| o.expect("all halted"))
-                .collect(),
-            rounds,
-        })
+        kernel::outcome(book.crashed, rounds, outputs)
     }
 }
 

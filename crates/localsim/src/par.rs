@@ -10,9 +10,11 @@
 //! in ascending segment order, outputs, round counts, and telemetry
 //! event streams are bit-identical to the sequential path.
 
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 
 use graphgen::NodeId;
+
+use crate::pool::{self, PoolLease};
 
 static THREADS: OnceLock<usize> = OnceLock::new();
 
@@ -63,15 +65,6 @@ pub fn default_threads() -> usize {
 /// path is pinned by `tests/threads_config.rs`).
 pub fn set_default_threads(k: usize) -> bool {
     THREADS.set(k.max(1)).is_ok()
-}
-
-/// Splits a sorted live worklist into at most `threads` contiguous,
-/// non-empty segments of near-equal size.
-#[cfg(test)]
-pub(crate) fn segments(live: &[NodeId], threads: usize) -> Vec<&[NodeId]> {
-    let k = threads.min(live.len()).max(1);
-    let chunk = live.len().div_ceil(k);
-    live.chunks(chunk).collect()
 }
 
 /// Splits a sorted live worklist into at most `threads` contiguous,
@@ -127,10 +120,14 @@ pub fn segments_weighted<'a>(
 
 /// The half-open node-index range covered by each segment of a sorted
 /// worklist. Ranges are pairwise disjoint and ascending because the
-/// worklist is sorted by node index.
+/// worklist is sorted by node index. The one empty segment of an empty
+/// worklist (a round whose every live node crashed) covers `0..0`.
 pub(crate) fn segment_ranges(segs: &[&[NodeId]]) -> Vec<(usize, usize)> {
     segs.iter()
-        .map(|s| (s[0].index(), s[s.len() - 1].index() + 1))
+        .map(|s| match s {
+            [] => (0, 0),
+            [first, ..] => (first.index(), s[s.len() - 1].index() + 1),
+        })
         .collect()
 }
 
@@ -158,6 +155,30 @@ pub(crate) fn split_ranges<'a, T>(
     out
 }
 
+/// Takes slot `slot`'s packet from one round's per-slot work cells
+/// through a shared reference; slots past the segment count find none.
+pub(crate) fn take_work<T>(cells: &[Mutex<Option<T>>], slot: usize) -> Option<T> {
+    cells.get(slot)?.lock().expect("work slot poisoned").take()
+}
+
+/// Runs `step(slot)` for each of a round's `segs` segments: inline on
+/// the calling thread for one segment, else on the pool in `lease`
+/// (leased with `threads` slots on first use, parked between rounds).
+pub(crate) fn run_segments<F: Fn(usize) + Sync>(
+    lease: &mut Option<PoolLease>,
+    threads: usize,
+    segs: usize,
+    step: &F,
+) {
+    if segs == 1 {
+        step(0);
+    } else {
+        lease
+            .get_or_insert_with(|| pool::lease(threads))
+            .run_epoch(step);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,21 +187,34 @@ mod tests {
         xs.iter().copied().map(NodeId).collect()
     }
 
+    /// CSR offsets of a 14-node graph with every degree 1 — uniform
+    /// weights, so the weighted split behaves like a count split.
+    fn unit_offsets() -> Vec<usize> {
+        (0..=14).collect()
+    }
+
     #[test]
     fn segments_cover_worklist_in_order() {
         let live = ids(&[1, 4, 5, 9, 12]);
-        let segs = segments(&live, 2);
+        let offsets = unit_offsets();
+        let segs = segments_weighted(&live, 2, &offsets);
         assert_eq!(segs.len(), 2);
         let flat: Vec<NodeId> = segs.iter().flat_map(|s| s.iter().copied()).collect();
         assert_eq!(flat, live);
         // More threads than nodes degrades to one node per segment.
-        assert_eq!(segments(&live, 64).len(), live.len());
+        assert_eq!(segments_weighted(&live, 64, &offsets).len(), live.len());
+        // One thread is the single-segment case the executors step inline.
+        assert_eq!(segments_weighted(&live, 1, &offsets), vec![&live[..]]);
+        // An empty worklist is one empty segment over the empty range.
+        let none = segments_weighted(&[], 4, &offsets);
+        assert_eq!(none, vec![&[][..]]);
+        assert_eq!(segment_ranges(&none), vec![(0, 0)]);
     }
 
     #[test]
     fn split_ranges_are_disjoint_and_addressable() {
         let live = ids(&[1, 4, 5, 9, 12]);
-        let segs = segments(&live, 3);
+        let segs = segments_weighted(&live, 3, &unit_offsets());
         let ranges = segment_ranges(&segs);
         let mut buf: Vec<i32> = (0..14).collect();
         let slices = split_ranges(&mut buf, &ranges);

@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 
 use graphgen::{Graph, NodeId};
 use serde::Value;
-use telemetry::{Event, FaultKind, MetricCounter, Probe, Registry};
+use telemetry::{Event, MetricCounter, Probe};
 
 use super::algo::WireAlgo;
 use super::netfault::{Liveness, NetDir, NetFaultPlan, NET_DELAY};
@@ -38,8 +38,9 @@ use super::proto::{encode_fault_plan, Frame, GhostUpdates, PROTO_VERSION};
 use super::topology::{encode_full, encode_sub};
 use super::wire::{self, frame_bytes, Dec, FrameConn, FrameMeter, TxFault};
 use super::worker::ShardState;
-use crate::exec::{LocalAlgorithm, NodeCtx, RunResult, SimError, EXEC_SCOPE};
+use crate::exec::{LocalAlgorithm, RunResult, SimError, EXEC_SCOPE};
 use crate::faults::FaultPlan;
+use crate::kernel::{outcome, seed_seen, Kernel, RoundBook, Tally};
 use crate::par::segments_weighted;
 
 /// How a worker shard is hosted.
@@ -280,9 +281,7 @@ impl GhostPlan {
 /// order so every derived figure matches the sequential schedule.
 #[derive(Default)]
 struct RoundAgg {
-    msgs: u64,
-    dropped: u64,
-    stalled: u64,
+    tally: Tally,
     halts: Vec<(u32, u64)>,
     /// Changed boundary states routed to the shards reading them,
     /// becoming the next round's `RoundGo` ghosts. Per-shard lists stay
@@ -440,28 +439,16 @@ impl<'g> ShardedExecutor<'g> {
     ) -> Result<RunResult<u64>, ShardError> {
         let graph = self.graph;
         let n = graph.n();
-        let offsets = graph.csr_offsets();
-        let max_degree = graph.max_degree();
         let shard_count = cluster.ranges.len();
 
         // Scatter lists and pack universes, built once; per-round ghost
         // routing is then pure index arithmetic.
         let gplan = GhostPlan::build(graph, &cluster.ranges);
 
-        // Registry mirroring exec.rs registration order exactly — the
-        // emitted Round events must be indistinguishable.
-        let mut registry = Registry::new();
-        let c_live = registry.counter("live_nodes");
-        let c_halted = registry.counter("halted");
-        let c_msgs = registry.counter("messages_sent");
-        let g_halted_frac = registry.gauge("halted_fraction");
-        let inert = FaultPlan::default();
-        let plan = self.faults.as_ref().unwrap_or(&inert);
-        let drop_on = plan.message_drop_p > 0.0;
-        let jitter_on = plan.round_jitter > 0;
-        let crash_sched = plan.crash_schedule();
-        let c_dropped = drop_on.then(|| registry.counter("messages_dropped"));
-        let c_stalled = jitter_on.then(|| registry.counter("stalled_nodes"));
+        // The executor's own round book: the emitted Round and Fault
+        // events are indistinguishable from a single-process run's.
+        let plan = self.faults.as_ref();
+        let book = RoundBook::new(EXEC_SCOPE, &self.probe, plan, &[]);
         let hub = self.probe.metrics();
         let h_round = hub.map(|h| h.histogram("shard.round_ns"));
         let h_barrier = hub.map(|h| h.histogram("shard.barrier_wait_ns"));
@@ -469,28 +456,19 @@ impl<'g> ShardedExecutor<'g> {
         // The implicit round-0 checkpoint: init states are computed
         // locally (init is pure), so recovery is possible before the
         // first periodic dump ever happens.
+        let kernel = Kernel {
+            algo: &algo,
+            adj: graph,
+            uids: None,
+            n,
+            max_degree: graph.max_degree(),
+            plan,
+        };
         let init_states: Vec<u64> = graph
             .vertices()
-            .map(|v| {
-                algo.init(&NodeCtx {
-                    node: v,
-                    uid: u64::from(v.0),
-                    neighbors: graph.neighbors(v),
-                    round: 0,
-                    n,
-                    max_degree,
-                })
-            })
+            .map(|v| algo.init(&kernel.ctx(v, graph.neighbors(v), 0)))
             .collect();
-        let seen0 = if drop_on {
-            let mut seen = Vec::with_capacity(offsets[n]);
-            for v in graph.vertices() {
-                seen.extend(graph.neighbors(v).iter().map(|w| init_states[w.index()]));
-            }
-            seen
-        } else {
-            Vec::new()
-        };
+        let seen0 = seed_seen(graph, plan, 0..n, &init_states);
         let mut ckpt = Checkpoint {
             round: 0,
             states: init_states,
@@ -537,7 +515,7 @@ impl<'g> ShardedExecutor<'g> {
             .map(|p| p.hangs.clone())
             .unwrap_or_default();
 
-        while live_count > 0 {
+        'rounds: while live_count > 0 {
             if rounds >= max_rounds {
                 return Err(SimError::RoundLimitExceeded {
                     limit: max_rounds,
@@ -560,159 +538,104 @@ impl<'g> ShardedExecutor<'g> {
             let r = rounds + 1;
             // Plan order drives event emission; the wire wants the list
             // sorted (crash application is order-independent).
-            let crashes_now: Vec<u32> = crash_sched
-                .get(&r)
-                .map(|nodes| {
-                    nodes
-                        .iter()
-                        .filter(|v| alive[v.index()])
-                        .map(|v| v.0)
-                        .collect()
-                })
-                .unwrap_or_default();
+            let crashes_now: Vec<u32> = book
+                .crashes_at(r)
+                .iter()
+                .filter(|v| alive[v.index()])
+                .map(|v| v.0)
+                .collect();
             let mut crashes_wire = crashes_now.clone();
             crashes_wire.sort_unstable();
             crashes_wire.dedup();
             let round_start = Instant::now();
             let active: Vec<bool> = shard_live.iter().map(|&c| c > 0).collect();
-            let agg = match cluster.round_trip(
-                r,
-                &crashes_wire,
-                &mut pending_ghosts,
-                &gplan,
-                &active,
-                h_barrier.as_deref(),
-            ) {
-                Ok(agg) => agg,
-                Err(TripFail::Shard(s)) => {
-                    self.recover_and_report(cluster, s, &ckpt)?;
-                    rounds = ckpt.round;
-                    restore_volatile(
-                        &ckpt,
-                        &mut alive,
-                        &mut outputs,
-                        &mut live_count,
-                        &mut crashed,
-                    );
-                    // A rewind can revive nodes on shards that had gone
-                    // idle; recount liveness from the restored bitmap.
-                    shard_live = count_live(&alive);
-                    // The Restore carried every node's state, so the
-                    // delta exchange restarts from a synchronized
-                    // baseline with nothing pending.
-                    pending_ghosts = vec![Vec::new(); shard_count];
-                    continue;
-                }
-                Err(TripFail::Fatal(e)) => return Err(e),
-            };
+            // A failed round or checkpoint trip breaks out of this block
+            // to the one rewind below; a completed round continues.
+            let failed = 'trip: {
+                let agg = match cluster.round_trip(
+                    r,
+                    &crashes_wire,
+                    &mut pending_ghosts,
+                    &gplan,
+                    &active,
+                    h_barrier.as_deref(),
+                ) {
+                    Ok(agg) => agg,
+                    Err(e) => break 'trip e,
+                };
 
-            let emitting = r > emitted;
-            for &v in &crashes_now {
-                alive[v as usize] = false;
-                crashed += 1;
-                live_count -= 1;
-                shard_live[owner(v)] -= 1;
+                let emitting = r > emitted;
+                for &v in &crashes_now {
+                    alive[v as usize] = false;
+                    crashed += 1;
+                    live_count -= 1;
+                    shard_live[owner(v)] -= 1;
+                    if emitting {
+                        book.crash(r, NodeId(v));
+                    }
+                }
                 if emitting {
-                    self.probe.emit_with(|| Event::Fault {
-                        scope: EXEC_SCOPE.to_string(),
-                        round: r - 1,
-                        kind: FaultKind::Crash,
-                        node: Some(u64::from(v)),
-                        count: 1,
-                    });
+                    book.set_live(live_count);
                 }
-            }
-            if emitting {
-                c_live.set(live_count as i64);
-            }
-            for &(v, o) in &agg.halts {
-                alive[v as usize] = false;
-                outputs[v as usize] = Some(o);
-                live_count -= 1;
-                shard_live[owner(v)] -= 1;
-            }
-            pending_ghosts = agg.next_ghosts;
-            if emitting {
-                c_msgs.add(agg.msgs as i64);
-                c_halted.add(agg.halts.len() as i64);
-                if agg.dropped > 0 {
-                    if let Some(c) = &c_dropped {
-                        c.add(agg.dropped as i64);
-                    }
-                    self.probe.emit_with(|| Event::Fault {
-                        scope: EXEC_SCOPE.to_string(),
-                        round: r - 1,
-                        kind: FaultKind::Drop,
-                        node: None,
-                        count: agg.dropped,
-                    });
+                for &(v, o) in &agg.halts {
+                    alive[v as usize] = false;
+                    outputs[v as usize] = Some(o);
+                    live_count -= 1;
+                    shard_live[owner(v)] -= 1;
                 }
-                if agg.stalled > 0 {
-                    if let Some(c) = &c_stalled {
-                        c.add(agg.stalled as i64);
-                    }
-                    self.probe.emit_with(|| Event::Fault {
-                        scope: EXEC_SCOPE.to_string(),
-                        round: r - 1,
-                        kind: FaultKind::Stall,
-                        node: None,
-                        count: agg.stalled,
-                    });
+                pending_ghosts = agg.next_ghosts;
+                if emitting {
+                    book.finish(r, agg.tally, live_count, n);
+                    emitted = r;
                 }
-                g_halted_frac.set((n - live_count) as f64 / n as f64);
-                registry.emit_round(&self.probe, EXEC_SCOPE, r - 1);
-                emitted = r;
-            }
-            rounds = r;
-            if let Some(h) = &h_round {
-                h.observe(u64::try_from(round_start.elapsed().as_nanos()).unwrap_or(u64::MAX));
-            }
+                rounds = r;
+                if let Some(h) = &h_round {
+                    h.observe(u64::try_from(round_start.elapsed().as_nanos()).unwrap_or(u64::MAX));
+                }
 
-            if self.checkpoint_every > 0
-                && r.is_multiple_of(self.checkpoint_every)
-                && live_count > 0
-            {
-                match cluster.checkpoint_trip(r) {
-                    Ok((states, live_bitmap, seen)) => {
-                        ckpt = Checkpoint {
-                            round: r,
-                            states,
-                            live_bitmap,
-                            seen,
-                            outputs: outputs.clone(),
-                            crashed,
-                            live_count,
-                        };
-                        self.persist_checkpoint(&ckpt)?;
-                    }
-                    Err(TripFail::Shard(s)) => {
-                        self.recover_and_report(cluster, s, &ckpt)?;
-                        rounds = ckpt.round;
-                        restore_volatile(
-                            &ckpt,
-                            &mut alive,
-                            &mut outputs,
-                            &mut live_count,
-                            &mut crashed,
-                        );
-                        shard_live = count_live(&alive);
-                        pending_ghosts = vec![Vec::new(); shard_count];
-                    }
-                    Err(TripFail::Fatal(e)) => return Err(e),
+                if self.checkpoint_every > 0
+                    && r.is_multiple_of(self.checkpoint_every)
+                    && live_count > 0
+                {
+                    let (states, live_bitmap, seen) = match cluster.checkpoint_trip(r) {
+                        Ok(dump) => dump,
+                        Err(e) => break 'trip e,
+                    };
+                    ckpt = Checkpoint {
+                        round: r,
+                        states,
+                        live_bitmap,
+                        seen,
+                        outputs: outputs.clone(),
+                        crashed,
+                        live_count,
+                    };
+                    self.persist_checkpoint(&ckpt)?;
                 }
+                continue 'rounds;
+            };
+            match failed {
+                TripFail::Shard(s) => self.recover_and_report(cluster, s, &ckpt)?,
+                TripFail::Fatal(e) => return Err(e),
             }
+            rounds = ckpt.round;
+            restore_volatile(
+                &ckpt,
+                &mut alive,
+                &mut outputs,
+                &mut live_count,
+                &mut crashed,
+            );
+            // A rewind can revive nodes on shards that had gone idle;
+            // recount liveness from the restored bitmap.
+            shard_live = count_live(&alive);
+            // The Restore carried every node's state, so the delta
+            // exchange restarts from a synchronized baseline with
+            // nothing pending.
+            pending_ghosts = vec![Vec::new(); shard_count];
         }
 
-        if crashed > 0 {
-            return Err(SimError::Crashed { crashed, rounds }.into());
-        }
-        Ok(RunResult {
-            outputs: outputs
-                .into_iter()
-                .map(|o| o.expect("all nodes halted"))
-                .collect(),
-            rounds,
-        })
+        Ok(outcome(crashed, rounds, outputs)?)
     }
 
     /// Runs recovery for `failed` and surfaces every shard the cluster
@@ -1097,28 +1020,9 @@ impl Cluster {
     fn process_local(&mut self, s: usize, payload: &[u8]) -> io::Result<()> {
         let frame = Frame::decode(payload)?;
         let state = self.adopted[s].as_mut().expect("adopted shard has state");
-        let reply = match frame {
-            Frame::RoundGo {
-                round,
-                crashes,
-                ghosts,
-            } => state.run_round(round, &crashes, &ghosts)?,
-            Frame::DumpReq { round } => state.dump(round),
-            Frame::Restore {
-                round,
-                states,
-                live,
-                seen,
-            } => state.restore(round, states, &live, seen)?,
-            Frame::Shutdown | Frame::Heartbeat => return Ok(()),
-            other => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("adopted shard {s} cannot serve {other:?}"),
-                ))
-            }
-        };
-        self.local_replies[s].push_back(reply);
+        if let Some(reply) = state.serve_frame(frame)? {
+            self.local_replies[s].push_back(reply);
+        }
         Ok(())
     }
 
@@ -1315,9 +1219,12 @@ impl Cluster {
                             "shard {s} answered round {echo} during round {round}"
                         ))));
                     }
-                    agg.msgs += msgs;
-                    agg.dropped += dropped;
-                    agg.stalled += stalled;
+                    agg.tally += Tally {
+                        msgs: msgs as i64,
+                        dropped: dropped as i64,
+                        stalled: stalled as i64,
+                        halts: halts.len() as i64,
+                    };
                     suppressed_total += suppressed;
                     agg.halts.extend(halts);
                     // Scatter the changed boundary states to every shard

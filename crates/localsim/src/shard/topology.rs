@@ -25,6 +25,7 @@ use graphgen::io::{decode_graph, decode_runs, encode_graph, encode_runs};
 use graphgen::{Graph, NodeId};
 
 use super::wire::{put_varint, Dec};
+use crate::kernel::Adjacency;
 
 const MODE_FULL: u8 = 0;
 const MODE_SUB: u8 = 1;
@@ -190,15 +191,26 @@ impl Topology {
         }
     }
 
-    /// Neighbors of `v` in ascending order (CSR port order). For a
-    /// sub-topology, only owned vertices are known.
+    /// Global port index of the first port of owned vertex range
+    /// `start..`, i.e. `csr_offsets()[start]` of the full graph.
+    /// `None` when the payload did not ship port information.
+    #[must_use]
+    pub fn global_port_base(&self, start: usize) -> Option<usize> {
+        match self {
+            Topology::Full(g) => Some(g.csr_offsets()[start]),
+            Topology::Sub(s) => (s.port_base != usize::MAX).then_some(s.port_base),
+        }
+    }
+}
+
+impl Adjacency for Topology {
+    /// For a sub-topology, only owned vertices are known.
     ///
     /// # Panics
     ///
     /// On a sub-topology when `v` is outside the owned range — callers
     /// only gather for owned vertices.
-    #[must_use]
-    pub fn neighbors(&self, v: NodeId) -> &[NodeId] {
+    fn neighbors(&self, v: NodeId) -> &[NodeId] {
         match self {
             Topology::Full(g) => g.neighbors(v),
             Topology::Sub(s) => {
@@ -212,14 +224,11 @@ impl Topology {
         }
     }
 
-    /// Global port index of the first port of owned vertex range
-    /// `start..`, i.e. `csr_offsets()[start]` of the full graph.
-    /// `None` when the payload did not ship port information.
-    #[must_use]
-    pub fn global_port_base(&self, start: usize) -> Option<usize> {
+    /// Needs the port base a sub-topology ships only for dropping plans.
+    fn first_port(&self, v: NodeId) -> usize {
         match self {
-            Topology::Full(g) => Some(g.csr_offsets()[start]),
-            Topology::Sub(s) => (s.port_base != usize::MAX).then_some(s.port_base),
+            Topology::Full(g) => g.csr_offsets()[v.index()],
+            Topology::Sub(s) => s.port_base + s.offsets[v.index() - s.lo],
         }
     }
 }

@@ -10,13 +10,15 @@
 //! (`Restore` carries every node's state, so no ghost delta survives a
 //! restart).
 //!
-//! The stepping loop below mirrors `exec.rs`'s sequential fault arm
-//! node-for-node (stall check, per-port drop cache, gather, step,
-//! halt-freeze), restricted to the owned range; the equivalence suite in
-//! `tests/shard.rs` pins that the two stay bit-identical. On the wire
-//! the worker is a delta endpoint: it only reports boundary states that
-//! *changed* this round (counting the rest into `suppressed`) and only
-//! receives ghost states that changed on their owning shard.
+//! A round steps the owned live range through the same round kernel the
+//! single-process executor uses (`kernel::Kernel::step_segment`, the
+//! owned range being one segment whose drop cache starts at the range's
+//! global port base); the equivalence suite in `tests/shard.rs` pins
+//! that the two stay bit-identical. On the wire the worker is a delta
+//! endpoint: the kernel's per-`Continue` hook reports only boundary
+//! states that *changed* this round (counting the rest into
+//! `suppressed`), and only ghost states that changed on their owning
+//! shard arrive.
 
 use std::io::{self, BufReader};
 use std::net::TcpStream;
@@ -28,8 +30,9 @@ use super::algo::WireAlgo;
 use super::proto::{decode_fault_plan, Frame, GhostUpdates, PROTO_VERSION};
 use super::topology::Topology;
 use super::wire::{read_frame, write_frame, write_frame_buf, FrameMeter, FrameSeq, MAX_FRAME};
-use crate::exec::{LocalAlgorithm, NodeCtx, Transition};
+use crate::exec::{LocalAlgorithm, NodeCtx};
 use crate::faults::FaultPlan;
+use crate::kernel::{seed_seen, Adjacency, Kernel, Scratch, SegBufs};
 
 /// Default worker read timeout: a coordinator that goes silent this
 /// long is presumed dead, and the worker exits instead of leaking.
@@ -162,23 +165,12 @@ pub fn serve_with(mut stream: TcpStream, read_timeout: Duration) -> io::Result<(
         let payload =
             read_frame(&mut reader, &meter, &mut seq).map_err(|e| orphaned(e, read_timeout))?;
         let frame = Frame::decode(&payload)?;
-        let reply = match frame {
-            Frame::RoundGo {
-                round,
-                crashes,
-                ghosts,
-            } => state.run_round(round, &crashes, &ghosts)?,
-            Frame::DumpReq { round } => state.dump(round),
-            Frame::Restore {
-                round,
-                states,
-                live,
-                seen,
-            } => state.restore(round, states, &live, seen)?,
-            Frame::Shutdown => return Ok(()),
-            // Keepalive: resets the read timeout by arriving; no reply.
-            Frame::Heartbeat => continue,
-            other => return Err(protocol(format!("unexpected frame {other:?}"))),
+        if matches!(frame, Frame::Shutdown) {
+            return Ok(());
+        }
+        // A heartbeat resets the read timeout by arriving; no reply.
+        let Some(reply) = state.serve_frame(frame)? else {
+            continue;
         };
         write_frame_buf(
             &mut stream,
@@ -215,7 +207,7 @@ fn protocol(msg: String) -> io::Error {
 /// (full graph or owned-range slice), the full-length state vector
 /// (authoritative on `start..end`, ghost copies for foreign neighbors,
 /// untouched init zeros elsewhere), and the owned slices of the live
-/// worklist and drop cache.
+/// worklist, outputs and drop cache.
 ///
 /// Crate-visible because the coordinator *adopts* a shard whose respawn
 /// budget is exhausted: it builds this same state from the cached
@@ -234,6 +226,9 @@ pub(crate) struct ShardState {
     cur: Vec<u64>,
     /// Write buffer for the owned range (`end - start` entries).
     nxt: Vec<u64>,
+    /// Outputs of the owned range, taken into `RoundDone` the round they
+    /// are written.
+    out: Vec<Option<u64>>,
     /// Owned nodes still live, ascending.
     live: Vec<NodeId>,
     /// Per-directed-port "last heard" drop cache covering exactly the
@@ -243,9 +238,6 @@ pub(crate) struct ShardState {
     /// Global port index of `seen[0]` (`csr_offsets()[start]` of the
     /// full graph); 0 when drops are off.
     port_base: usize,
-    /// Local port offsets over the owned range: vertex `start + i` owns
-    /// ports `local_off[i]..local_off[i + 1]` of `seen`.
-    local_off: Vec<usize>,
     /// `boundary[v - start]` = owned `v` has a foreign neighbor.
     boundary: Vec<bool>,
     /// Sorted foreign neighbors of the owned range — the universe the
@@ -254,11 +246,32 @@ pub(crate) struct ShardState {
     /// Sorted owned vertices with a foreign neighbor — the universe
     /// `RoundDone` boundary updates are packed against.
     boundary_ids: Vec<u32>,
-    drop_on: bool,
-    jitter_on: bool,
+    scratch: Scratch<u64>,
 }
 
 impl ShardState {
+    /// Serves one post-`Init` frame, the same way over a socket and for
+    /// a shard the coordinator adopted: the reply, or `None` for the
+    /// frames that get none (`Heartbeat`, `Shutdown`).
+    pub(crate) fn serve_frame(&mut self, frame: Frame) -> io::Result<Option<Frame>> {
+        Ok(Some(match frame {
+            Frame::RoundGo {
+                round,
+                crashes,
+                ghosts,
+            } => self.run_round(round, &crashes, &ghosts)?,
+            Frame::DumpReq { round } => self.dump(round),
+            Frame::Restore {
+                round,
+                states,
+                live,
+                seen,
+            } => self.restore(round, states, &live, seen)?,
+            Frame::Shutdown | Frame::Heartbeat => return Ok(None),
+            other => return Err(protocol(format!("unexpected frame {other:?}"))),
+        }))
+    }
+
     pub(crate) fn build(
         start: u32,
         end: u32,
@@ -276,13 +289,10 @@ impl ShardState {
             decode_fault_plan(faults).map_err(|e| format!("shard init: bad fault plan: {e}"))?;
         let n = topo.n();
         let max_degree = topo.max_degree();
-        let mut local_off = Vec::with_capacity(end - start + 1);
-        local_off.push(0usize);
         let mut boundary = Vec::with_capacity(end - start);
         let mut ghost_ids: Vec<u32> = Vec::new();
         for v in start..end {
             let nbrs = topo.neighbors(NodeId(v as u32));
-            local_off.push(local_off.last().unwrap() + nbrs.len());
             let mut foreign = false;
             for w in nbrs {
                 if w.index() < start || w.index() >= end {
@@ -319,27 +329,16 @@ impl ShardState {
             cur[g as usize] = algo.init(&init_ctx(g as usize));
         }
         let nxt = cur[start..end].to_vec();
-        let drop_on = plan.message_drop_p > 0.0;
         let mut port_base = 0usize;
-        let mut seen = Vec::new();
-        if drop_on {
+        if plan.message_drop_p > 0.0 {
             port_base = topo.global_port_base(start).ok_or_else(|| {
                 "shard init: fault plan drops messages but the graph payload \
                  carries no port information"
                     .to_string()
             })?;
-            // Seed the owned port range from the init states (the setup
-            // exchange is reliable), exactly like the single-process
-            // seeding.
-            seen = vec![0u64; local_off[end - start]];
-            for v in start..end {
-                let base = local_off[v - start];
-                for (p, w) in topo.neighbors(NodeId(v as u32)).iter().enumerate() {
-                    seen[base + p] = cur[w.index()];
-                }
-            }
         }
-        let jitter_on = plan.round_jitter > 0;
+        // The owned port range of the single-process drop cache.
+        let seen = seed_seen(&topo, Some(&plan), start..end, &cur);
         Ok(ShardState {
             topo,
             algo,
@@ -348,19 +347,18 @@ impl ShardState {
             end,
             cur,
             nxt,
+            out: vec![None; end - start],
             live: (start..end).map(|v| NodeId(v as u32)).collect(),
             seen,
             port_base,
-            local_off,
             boundary,
             ghost_ids,
             boundary_ids,
-            drop_on,
-            jitter_on,
+            scratch: Scratch::new(max_degree),
         })
     }
 
-    pub(crate) fn run_round(
+    fn run_round(
         &mut self,
         round: u64,
         crashes: &[u32],
@@ -372,93 +370,62 @@ impl ShardState {
         // Crashes freeze at the start of the round, before any step.
         for &v in crashes {
             let v = NodeId(v);
-            if v.index() < self.start || v.index() >= self.end {
-                continue;
-            }
+            // Only owned nodes are ever live here.
             if let Ok(pos) = self.live.binary_search(&v) {
                 self.live.remove(pos);
                 self.nxt[v.index() - self.start] = self.cur[v.index()];
             }
         }
-        let n = self.topo.n();
-        let max_degree = self.topo.max_degree();
-        let mut msgs = 0u64;
-        let mut dropped = 0u64;
-        let mut stalled = 0u64;
+        let kernel = Kernel {
+            algo: &self.algo,
+            adj: &self.topo,
+            uids: None,
+            n: self.topo.n(),
+            max_degree: self.topo.max_degree(),
+            plan: Some(&self.plan),
+        };
         let mut suppressed = 0u64;
-        let mut halts: Vec<(u32, u64)> = Vec::new();
         let mut boundary_out: Vec<(u32, u64)> = Vec::new();
-        let mut nbr_buf: Vec<u64> = Vec::with_capacity(max_degree);
-        let mut kept = 0usize;
-        for i in 0..self.live.len() {
-            let v = self.live[i];
-            let vi = v.index();
-            if self.jitter_on && self.plan.stalls(v, round) {
-                // Stalled: skip the step, keep the state, stay live.
-                self.nxt[vi - self.start] = self.cur[vi];
-                stalled += 1;
-                self.live[kept] = v;
-                kept += 1;
-                continue;
-            }
-            nbr_buf.clear();
-            let nbrs = self.topo.neighbors(v);
-            if self.drop_on {
-                let base = self.local_off[vi - self.start];
-                for (p, w) in nbrs.iter().enumerate() {
-                    // The drop stream is indexed by *global* port slot so
-                    // every shard count draws identical drop decisions.
-                    if self.plan.drops_message(round, self.port_base + base + p) {
-                        dropped += 1;
+        let bufs = SegBufs {
+            lo: self.start,
+            nxt: &mut self.nxt,
+            outputs: &mut self.out,
+            port_lo: self.port_base,
+            seen: &mut self.seen,
+        };
+        let tally = kernel.step_segment(
+            round,
+            &self.live,
+            &self.cur,
+            bufs,
+            &mut self.scratch,
+            |v, old, new| {
+                if self.boundary[v.index() - self.start] {
+                    if new == old {
+                        // Neighboring shards already hold this state;
+                        // the delta exchange sends nothing.
+                        suppressed += 1;
                     } else {
-                        self.seen[base + p] = self.cur[w.index()];
+                        boundary_out.push((v.0, *new));
                     }
                 }
-                nbr_buf.extend_from_slice(&self.seen[base..base + nbrs.len()]);
-                msgs += nbrs.len() as u64;
-            } else {
-                nbr_buf.extend(nbrs.iter().map(|w| self.cur[w.index()]));
-                msgs += nbr_buf.len() as u64;
-            }
-            let ctx = NodeCtx {
-                node: v,
-                uid: u64::from(v.0),
-                neighbors: nbrs,
-                round,
-                n,
-                max_degree,
-            };
-            match self.algo.step(&ctx, &self.cur[vi], &nbr_buf) {
-                Transition::Continue(s) => {
-                    self.nxt[vi - self.start] = s;
-                    if self.boundary[vi - self.start] {
-                        if s == self.cur[vi] {
-                            // Neighboring shards already hold this state;
-                            // the delta exchange sends nothing.
-                            suppressed += 1;
-                        } else {
-                            boundary_out.push((v.0, s));
-                        }
-                    }
-                    self.live[kept] = v;
-                    kept += 1;
-                }
-                Transition::Halt(o) => {
-                    halts.push((v.0, o));
-                    // Freeze the pre-round state, like a halted node in
-                    // the single-process executor; neighbors already hold
-                    // this value, so no boundary update is needed.
-                    self.nxt[vi - self.start] = self.cur[vi];
-                }
-            }
-        }
-        self.live.truncate(kept);
+            },
+        );
+        // A halted node froze its pre-round state, which neighbors
+        // already hold, so halts need no boundary update.
+        let halts: Vec<(u32, u64)> = self
+            .live
+            .iter()
+            .filter_map(|v| self.out[v.index() - self.start].take().map(|o| (v.0, o)))
+            .collect();
+        std::mem::swap(&mut self.live, &mut self.scratch.survivors);
+        self.scratch.survivors.clear();
         self.cur[self.start..self.end].copy_from_slice(&self.nxt);
         Ok(Frame::RoundDone {
             round,
-            msgs,
-            dropped,
-            stalled,
+            msgs: tally.msgs as u64,
+            dropped: tally.dropped as u64,
+            stalled: tally.stalled as u64,
             suppressed,
             halts,
             boundary: GhostUpdates::pack(boundary_out, &self.boundary_ids),
@@ -469,7 +436,7 @@ impl ShardState {
     /// kicked, so it cannot know it); this shard's states are current
     /// for that round either way — an unkicked shard's states have not
     /// changed since its last live round.
-    pub(crate) fn dump(&self, round: u64) -> Frame {
+    fn dump(&self, round: u64) -> Frame {
         Frame::Dump {
             round,
             states: self.cur[self.start..self.end].to_vec(),
@@ -478,7 +445,7 @@ impl ShardState {
         }
     }
 
-    pub(crate) fn restore(
+    fn restore(
         &mut self,
         round: u64,
         states: Vec<u64>,
@@ -501,8 +468,8 @@ impl ShardState {
             .filter(|&v| live.get(v / 8).is_some_and(|b| b & (1 << (v % 8)) != 0))
             .map(|v| NodeId(v as u32))
             .collect();
-        if self.drop_on {
-            let hi = self.port_base + self.local_off[self.end - self.start];
+        if self.plan.message_drop_p > 0.0 {
+            let hi = self.port_base + self.seen.len();
             if seen.len() < hi {
                 return Err(protocol(format!(
                     "restore drop cache has {} ports, owned range needs {hi}",

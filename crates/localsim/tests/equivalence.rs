@@ -397,11 +397,120 @@ fn crash_runs_fail_identically_seq_and_parallel() {
         assert_eq!(par_err, seq_err, "threads={k}");
         assert_eq!(psink.events(), sink.events(), "threads={k}");
     }
+    let msink = Arc::new(RecordingSink::new());
     let msg_err = MessageExecutor::new(&g)
-        .with_faults(plan)
+        .with_faults(plan.clone())
+        .with_probe(Probe::new(msink.clone()))
         .run(&StaggerSumMsg, 100)
         .unwrap_err();
     assert!(matches!(msg_err, SimError::Crashed { crashed: 3, .. }));
+    let msg_crashes = msink
+        .events()
+        .iter()
+        .filter(|e| {
+            matches!(
+                e,
+                Event::Fault {
+                    kind: FaultKind::Crash,
+                    ..
+                }
+            )
+        })
+        .count();
+    assert_eq!(msg_crashes, 3);
+    for k in THREAD_COUNTS {
+        let psink = Arc::new(RecordingSink::new());
+        let par_err = MessageExecutor::new(&g)
+            .with_faults(plan.clone())
+            .with_threads(k)
+            .with_probe(Probe::new(psink.clone()))
+            .run(&StaggerSumMsg, 100)
+            .unwrap_err();
+        assert_eq!(par_err, msg_err, "message executor, threads={k}");
+        assert_eq!(
+            psink.events(),
+            msink.events(),
+            "message executor, threads={k}"
+        );
+    }
+}
+
+/// Crashing every node still live empties the round: it is reported with
+/// nothing stepped and the run fails with `Crashed`, identically at every
+/// width, on both executor levels — with and without message drops, and
+/// down to a one-node graph crashed in round 1.
+#[test]
+fn crashing_every_live_node_fails_identically() {
+    let g = graphgen::generators::random_regular(64, 6, 3);
+    // Under StaggerSum's halt rule only the nodes v with v % 5 == 4 are
+    // still live in round 5; crash all of them there.
+    let last: Vec<(u64, NodeId)> = (0..64)
+        .filter(|v| v % 5 == 4)
+        .map(|v| (5, NodeId(v)))
+        .collect();
+    let single = Graph::from_edges(1, []).unwrap();
+    let cases = [
+        (&single, vec![(1, NodeId(0))], 0.0, 1),
+        (&g, last.clone(), 0.0, last.len()),
+        (&g, last.clone(), 0.3, last.len()),
+    ];
+    for (graph, node_crash, message_drop_p, crashed) in cases {
+        let plan = FaultPlan {
+            seed: 5,
+            message_drop_p,
+            node_crash,
+            ..FaultPlan::default()
+        };
+        let label = format!("n={} drop={message_drop_p}", graph.n());
+        let sink = Arc::new(RecordingSink::new());
+        let err = Executor::new(graph)
+            .with_faults(plan.clone())
+            .with_probe(Probe::new(sink.clone()))
+            .run(&StaggerSum, 100)
+            .unwrap_err();
+        assert!(
+            matches!(err, SimError::Crashed { crashed: c, .. } if c == crashed),
+            "{label}: {err:?}"
+        );
+        let msink = Arc::new(RecordingSink::new());
+        let msg_err = MessageExecutor::new(graph)
+            .with_faults(plan.clone())
+            .with_probe(Probe::new(msink.clone()))
+            .run(&StaggerSumMsg, 100)
+            .unwrap_err();
+        assert_eq!(msg_err, err, "{label}");
+        // The emptied round is still reported, with no node live.
+        for events in [sink.events(), msink.events()] {
+            let Some(Event::Round { counters, .. }) = events.last() else {
+                panic!("{label}: run did not end with a Round event");
+            };
+            assert_eq!(counters[0], ("live_nodes".into(), 0), "{label}");
+        }
+        for k in THREAD_COUNTS {
+            let psink = Arc::new(RecordingSink::new());
+            let par_err = Executor::new(graph)
+                .with_faults(plan.clone())
+                .with_threads(k)
+                .with_probe(Probe::new(psink.clone()))
+                .run(&StaggerSum, 100)
+                .unwrap_err();
+            assert_eq!(par_err, err, "{label} threads={k}");
+            assert_eq!(psink.events(), sink.events(), "{label} threads={k}");
+            let pmsink = Arc::new(RecordingSink::new());
+            let par_msg_err = MessageExecutor::new(graph)
+                .with_faults(plan.clone())
+                .with_threads(k)
+                .with_probe(Probe::new(pmsink.clone()))
+                .run(&StaggerSumMsg, 100)
+                .unwrap_err();
+            assert_eq!(par_msg_err, msg_err, "{label} message executor threads={k}");
+            assert_eq!(
+                pmsink.events(),
+                msink.events(),
+                "{label} message executor threads={k}"
+            );
+        }
+    }
 }
 
 /// The deterministic violation rule (earliest round, widest message) is
