@@ -161,19 +161,31 @@ pub fn color_deterministic_probed(
     config: &Config,
     probe: &Probe,
 ) -> Result<Report, DeltaColoringError> {
-    match crate::supervisor::drive_deterministic(
+    crate::supervisor::drive_deterministic(
         g,
         config,
         probe,
         &crate::supervisor::Supervisor::passive(),
         None,
-    )? {
-        crate::supervisor::RunOutcome::Complete { report, .. } => Ok(report),
-        crate::supervisor::RunOutcome::Suspended { .. }
-        | crate::supervisor::RunOutcome::Failed(_) => {
-            unreachable!("a passive supervisor neither suspends nor captures failures")
-        }
-    }
+    )
+    .map(crate::supervisor::passive_report)
+}
+
+/// Runs `body` inside the span `path` on the ledger's probe and charges
+/// the span the rounds `body` adds to the ledger. On `Err` the span
+/// closes with 0 rounds.
+pub(crate) fn spanned<T, E>(
+    ledger: &mut RoundLedger,
+    path: &str,
+    body: impl FnOnce(&mut RoundLedger) -> Result<T, E>,
+) -> Result<T, E> {
+    let probe = ledger.probe().clone();
+    let before = ledger.total();
+    let mut span = probe.span(path);
+    let out = body(ledger)?;
+    span.add_rounds(ledger.total() - before);
+    span.finish();
+    Ok(out)
 }
 
 /// Step 0 of both pipelines: ACD computation, charged and spanned on the
@@ -185,12 +197,11 @@ pub(crate) fn det_phase_acd(
     config: &Config,
     ledger: &mut RoundLedger,
 ) -> Result<AcdResult, DeltaColoringError> {
-    let probe = ledger.probe().clone();
-    let mut span = probe.span("pipeline/acd");
-    let acd = compute_acd(g, &config.acd);
-    ledger.charge_constant("acd computation", acd.rounds);
-    span.add_rounds(acd.rounds);
-    span.finish();
+    let acd = spanned(ledger, "pipeline/acd", |ledger| {
+        let acd = compute_acd(g, &config.acd);
+        ledger.charge_constant("acd computation", acd.rounds);
+        Ok::<_, DeltaColoringError>(acd)
+    })?;
     if !acd.is_dense() {
         return Err(DeltaColoringError::NotDense {
             sparse: acd.sparse.len(),
@@ -206,41 +217,36 @@ pub(crate) fn det_phase_classification(
     acd: &AcdResult,
     ledger: &mut RoundLedger,
 ) -> Result<(LoopholeReport, Classification), DeltaColoringError> {
-    let probe = ledger.probe().clone();
-    let mut span = probe.span("pipeline/classification");
-    let loopholes = detect_loopholes(g, &acd.clique_of);
-    ledger.charge_constant("loophole detection", loopholes.rounds);
-    let cls = classify_cliques(g, acd, &loopholes)?;
-    ledger.charge_constant("hard/easy classification", cls.rounds);
-    span.add_rounds(loopholes.rounds + cls.rounds);
-    span.finish();
-    Ok((loopholes, cls))
+    spanned(ledger, "pipeline/classification", |ledger| {
+        let loopholes = detect_loopholes(g, &acd.clique_of);
+        ledger.charge_constant("loophole detection", loopholes.rounds);
+        let cls = classify_cliques(g, acd, &loopholes)?;
+        ledger.charge_constant("hard/easy classification", cls.rounds);
+        Ok((loopholes, cls))
+    })
 }
 
-/// Step 3 (Algorithm 3): the easy sweep, spanned and charged.
-pub(crate) fn det_phase_easy(
+/// Step 3 (Algorithm 3), the final step of both pipelines: the easy
+/// sweep over easy cliques and loopholes, spanned and charged.
+pub(crate) fn phase_easy(
     g: &Graph,
     config: &Config,
+    style: RulingStyle,
     loopholes: &LoopholeReport,
     coloring: &mut Coloring,
     ledger: &mut RoundLedger,
-    stats: &mut PipelineStats,
-) -> Result<(), DeltaColoringError> {
-    let probe = ledger.probe().clone();
-    let before = ledger.total();
-    let mut span = probe.span("pipeline/easy sweep");
-    stats.easy = color_easy_and_loopholes(
-        g,
-        loopholes,
-        config.ruling_r,
-        RulingStyle::Deterministic,
-        config.threads,
-        coloring,
-        ledger,
-    )?;
-    span.add_rounds(ledger.total() - before);
-    span.finish();
-    Ok(())
+) -> Result<EasyStats, DeltaColoringError> {
+    spanned(ledger, "pipeline/easy sweep", |ledger| {
+        color_easy_and_loopholes(
+            g,
+            loopholes,
+            config.ruling_r,
+            style,
+            config.threads,
+            coloring,
+            ledger,
+        )
+    })
 }
 
 /// Algorithm 2 (phases 1–4), shared with the randomized pipeline.
@@ -296,22 +302,18 @@ pub(crate) fn det_phase1(
     allow_useless: bool,
     ledger: &mut RoundLedger,
 ) -> Result<BalancedMatching, DeltaColoringError> {
-    let probe = ledger.probe().clone();
-    let before = ledger.total();
-    let mut span = probe.span("pipeline/phase1 balanced matching");
-    let f2 = balanced_matching(
-        g,
-        acd,
-        cls,
-        config.subcliques,
-        config.matching,
-        config.heg,
-        allow_useless,
-        ledger,
-    )?;
-    span.add_rounds(ledger.total() - before);
-    span.finish();
-    Ok(f2)
+    spanned(ledger, "pipeline/phase1 balanced matching", |ledger| {
+        balanced_matching(
+            g,
+            acd,
+            cls,
+            config.subcliques,
+            config.matching,
+            config.heg,
+            allow_useless,
+            ledger,
+        )
+    })
 }
 
 /// Phase 2: matching sparsification (spanned and charged).
@@ -323,21 +325,17 @@ pub(crate) fn det_phase2(
     config: &Config,
     ledger: &mut RoundLedger,
 ) -> Result<SparsifiedMatching, DeltaColoringError> {
-    let probe = ledger.probe().clone();
-    let before = ledger.total();
-    let mut span = probe.span("pipeline/phase2 sparsify matching");
-    let f3 = sparsify_matching(
-        g,
-        acd,
-        cls,
-        f2,
-        config.acd.eps,
-        config.split_segment,
-        ledger,
-    )?;
-    span.add_rounds(ledger.total() - before);
-    span.finish();
-    Ok(f3)
+    spanned(ledger, "pipeline/phase2 sparsify matching", |ledger| {
+        sparsify_matching(
+            g,
+            acd,
+            cls,
+            f2,
+            config.acd.eps,
+            config.split_segment,
+            ledger,
+        )
+    })
 }
 
 /// Phase 3: slack-triad formation (spanned and charged).
@@ -347,13 +345,9 @@ pub(crate) fn det_phase3(
     f3: &SparsifiedMatching,
     ledger: &mut RoundLedger,
 ) -> Result<TriadSet, DeltaColoringError> {
-    let probe = ledger.probe().clone();
-    let before = ledger.total();
-    let mut span = probe.span("pipeline/phase3 slack triads");
-    let triads = form_slack_triads(g, acd, f3, ledger)?;
-    span.add_rounds(ledger.total() - before);
-    span.finish();
-    Ok(triads)
+    spanned(ledger, "pipeline/phase3 slack triads", |ledger| {
+        form_slack_triads(g, acd, f3, ledger)
+    })
 }
 
 /// Phase 4: hard-clique coloring (spanned and charged). The only hard
@@ -370,22 +364,18 @@ pub(crate) fn det_phase4(
     config: &Config,
     ledger: &mut RoundLedger,
 ) -> Result<Phase4Stats, DeltaColoringError> {
-    let probe = ledger.probe().clone();
-    let before = ledger.total();
-    let mut span = probe.span("pipeline/phase4 coloring");
-    let p4 = color_hard_cliques_phase4(
-        g,
-        acd,
-        cls,
-        triads,
-        pair_palette,
-        coloring,
-        config.enforce_paper_bounds,
-        ledger,
-    )?;
-    span.add_rounds(ledger.total() - before);
-    span.finish();
-    Ok(p4)
+    spanned(ledger, "pipeline/phase4 coloring", |ledger| {
+        color_hard_cliques_phase4(
+            g,
+            acd,
+            cls,
+            triads,
+            pair_palette,
+            coloring,
+            config.enforce_paper_bounds,
+            ledger,
+        )
+    })
 }
 
 #[cfg(test)]

@@ -29,11 +29,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use crate::classify::classify_cliques;
-use crate::deterministic::{run_hard_phases, PipelineStats};
+use crate::deterministic::{det_phase_classification, run_hard_phases, spanned, PipelineStats};
 use crate::easy::color_easy_and_loopholes_scoped;
 use crate::error::DeltaColoringError;
-use crate::loophole::{detect_loopholes, Loophole};
+use crate::loophole::Loophole;
 use crate::phase4::run_list_instance;
 use crate::randomized::RandConfig;
 
@@ -114,97 +113,85 @@ pub fn color_sparse_dense_probed(
     config: &RandConfig,
     probe: &Probe,
 ) -> Result<SparseDenseReport, DeltaColoringError> {
-    let delta = g.max_degree();
-    if delta < 4 {
-        return Err(DeltaColoringError::UnsupportedStructure(format!(
-            "maximum degree {delta} is below the supported minimum of 4"
-        )));
-    }
+    let delta = crate::supervisor::supported_delta(g)?;
     let mut rng = StdRng::seed_from_u64(config.seed ^ 0x5BA2);
     let mut ledger = RoundLedger::with_probe(probe.clone());
     let mut coloring = Coloring::empty(g.n());
     let mut stats = SparseDenseStats::default();
 
-    let mut span = probe.span("pipeline/acd");
-    let acd = compute_acd(g, &config.base.acd);
-    ledger.charge_constant("acd computation", acd.rounds);
-    span.add_rounds(acd.rounds);
-    span.finish();
+    let acd = spanned(&mut ledger, "pipeline/acd", |ledger| {
+        let acd = compute_acd(g, &config.base.acd);
+        ledger.charge_constant("acd computation", acd.rounds);
+        Ok::<_, DeltaColoringError>(acd)
+    })?;
     let is_sparse: Vec<bool> = (0..g.n()).map(|v| acd.clique_of[v].is_none()).collect();
     stats.sparse = acd.sparse.len();
 
     // --- Step 1: slack generation among sparse vertices. ---
-    let mut span = probe.span("pipeline/sparse trials");
-    let budget = 6 + (usize::BITS - g.n().leading_zeros()) as u64;
-    let mut trial_rounds = 0u64;
-    loop {
-        let needy: Vec<NodeId> = g
-            .vertices()
-            .filter(|&v| {
-                is_sparse[v.index()]
-                    && !coloring.is_colored(v)
-                    && g.degree(v) == delta
-                    && !has_permanent_slack(g, &coloring, v)
-            })
-            .collect();
-        if needy.is_empty() {
-            break;
-        }
-        if trial_rounds >= budget {
-            return Err(DeltaColoringError::UnsupportedStructure(format!(
-                "{} sparse vertices failed to acquire slack within {budget} trial rounds \
-                 (Δ = {delta} may be too small for the w.h.p. regime)",
-                needy.len()
-            )));
-        }
-        trial_rounds += 1;
-        // One trial round over ALL uncolored sparse vertices (more colored
-        // neighbors = more slack opportunities for the needy ones).
-        let active: Vec<NodeId> = g
-            .vertices()
-            .filter(|&v| is_sparse[v.index()] && !coloring.is_colored(v))
-            .collect();
-        let mut draw: Vec<Option<Color>> = vec![None; g.n()];
-        for &v in &active {
-            let used: std::collections::HashSet<Color> = g
-                .neighbors(v)
-                .iter()
-                .filter_map(|&w| coloring.get(w))
+    spanned(&mut ledger, "pipeline/sparse trials", |ledger| {
+        let budget = 6 + (usize::BITS - g.n().leading_zeros()) as u64;
+        let mut trial_rounds = 0u64;
+        loop {
+            let needy: Vec<NodeId> = g
+                .vertices()
+                .filter(|&v| {
+                    is_sparse[v.index()]
+                        && !coloring.is_colored(v)
+                        && g.degree(v) == delta
+                        && !has_permanent_slack(g, &coloring, v)
+                })
                 .collect();
-            let free: Vec<Color> = (0..delta as u32)
-                .map(Color)
-                .filter(|c| !used.contains(c))
+            if needy.is_empty() {
+                break;
+            }
+            if trial_rounds >= budget {
+                return Err(DeltaColoringError::UnsupportedStructure(format!(
+                    "{} sparse vertices failed to acquire slack within {budget} trial rounds \
+                     (Δ = {delta} may be too small for the w.h.p. regime)",
+                    needy.len()
+                )));
+            }
+            trial_rounds += 1;
+            // One trial round over ALL uncolored sparse vertices (more colored
+            // neighbors = more slack opportunities for the needy ones).
+            let active: Vec<NodeId> = g
+                .vertices()
+                .filter(|&v| is_sparse[v.index()] && !coloring.is_colored(v))
                 .collect();
-            if !free.is_empty() {
-                draw[v.index()] = Some(free[rng.gen_range(0..free.len())]);
+            let mut draw: Vec<Option<Color>> = vec![None; g.n()];
+            for &v in &active {
+                let used: std::collections::HashSet<Color> = g
+                    .neighbors(v)
+                    .iter()
+                    .filter_map(|&w| coloring.get(w))
+                    .collect();
+                let free: Vec<Color> = (0..delta as u32)
+                    .map(Color)
+                    .filter(|c| !used.contains(c))
+                    .collect();
+                if !free.is_empty() {
+                    draw[v.index()] = Some(free[rng.gen_range(0..free.len())]);
+                }
+            }
+            for &v in &active {
+                let Some(c) = draw[v.index()] else { continue };
+                let clash = g.neighbors(v).iter().any(|&w| draw[w.index()] == Some(c));
+                if !clash {
+                    coloring.set(v, c);
+                }
             }
         }
-        for &v in &active {
-            let Some(c) = draw[v.index()] else { continue };
-            let clash = g.neighbors(v).iter().any(|&w| draw[w.index()] == Some(c));
-            if !clash {
-                coloring.set(v, c);
-            }
-        }
-    }
-    stats.trial_rounds = trial_rounds;
-    stats.trial_colored = g
-        .vertices()
-        .filter(|&v| is_sparse[v.index()] && coloring.is_colored(v))
-        .count();
-    ledger.charge("sparse/slack-generation trials", trial_rounds);
-    span.add_rounds(trial_rounds);
-    span.finish();
+        stats.trial_rounds = trial_rounds;
+        stats.trial_colored = g
+            .vertices()
+            .filter(|&v| is_sparse[v.index()] && coloring.is_colored(v))
+            .count();
+        ledger.charge("sparse/slack-generation trials", trial_rounds);
+        Ok(())
+    })?;
 
     // --- Step 2: dense machinery. ---
-    let before = ledger.total();
-    let mut span = probe.span("pipeline/classification");
-    let loopholes = detect_loopholes(g, &acd.clique_of);
-    ledger.charge_constant("loophole detection", loopholes.rounds);
-    let cls = classify_cliques(g, &acd, &loopholes)?;
-    ledger.charge_constant("hard/easy classification", cls.rounds);
-    span.add_rounds(ledger.total() - before);
-    span.finish();
+    let (loopholes, cls) = det_phase_classification(g, &acd, &mut ledger)?;
 
     // Stall assistance: a Type-II clique stalls on an uncolored non-hard
     // neighbor; if a candidate's outside neighbors were all trial-colored,
@@ -326,36 +313,32 @@ pub fn color_sparse_dense_probed(
         rounds: 0,
     };
     if easy_scope.iter().any(|&b| b) {
-        let before = ledger.total();
-        let mut span = probe.span("pipeline/easy sweep");
-        stats.dense.easy = color_easy_and_loopholes_scoped(
-            g,
-            &merged,
-            config.base.ruling_r,
-            RulingStyle::Randomized(config.seed ^ 0xEA5E),
-            Some(&easy_scope),
-            config.base.threads,
-            &mut coloring,
-            &mut ledger,
-        )?;
-        span.add_rounds(ledger.total() - before);
-        span.finish();
+        stats.dense.easy = spanned(&mut ledger, "pipeline/easy sweep", |ledger| {
+            color_easy_and_loopholes_scoped(
+                g,
+                &merged,
+                config.base.ruling_r,
+                RulingStyle::Randomized(config.seed ^ 0xEA5E),
+                Some(&easy_scope),
+                config.base.threads,
+                &mut coloring,
+                ledger,
+            )
+        })?;
     }
 
     // --- Step 4: the sparse finish (anything the sweep did not touch). ---
-    let before = ledger.total();
-    let mut span = probe.span("pipeline/sparse finish");
-    let remaining: Vec<NodeId> = g.vertices().filter(|&v| !coloring.is_colored(v)).collect();
-    run_list_instance(
-        g,
-        &remaining,
-        delta as u32,
-        &mut coloring,
-        "sparse/finish",
-        &mut ledger,
-    )?;
-    span.add_rounds(ledger.total() - before);
-    span.finish();
+    spanned(&mut ledger, "pipeline/sparse finish", |ledger| {
+        let remaining: Vec<NodeId> = g.vertices().filter(|&v| !coloring.is_colored(v)).collect();
+        run_list_instance(
+            g,
+            &remaining,
+            delta as u32,
+            &mut coloring,
+            "sparse/finish",
+            ledger,
+        )
+    })?;
 
     coloring
         .check_complete(g, delta as u32)

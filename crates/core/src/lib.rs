@@ -20,9 +20,9 @@
 //!   deterministic pipeline with pair palette `{2..Δ}`.
 //!
 //! Every phase charges its measured LOCAL rounds to a
-//! [`localsim::RoundLedger`] returned in the [`Report`], and (with
-//! [`Config::check_invariants`]) asserts the paper's structural lemmas
-//! (9–17) at runtime.
+//! [`localsim::RoundLedger`] returned in the [`Report`], and asserts the
+//! paper's structural lemmas (9–17) at runtime
+//! ([`Config::enforce_paper_bounds`] adds their exact constants).
 //!
 //! # Example
 //!

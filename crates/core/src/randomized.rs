@@ -29,7 +29,7 @@
 //!    vertices last (they enjoy permanent slack from their same-colored
 //!    pair); finally Algorithm 3 sweeps the easy cliques and loopholes.
 
-use acd::{compute_acd, AcdResult};
+use acd::AcdResult;
 use graphgen::{Color, Coloring, Graph, NodeId};
 use localsim::{Event, FaultKind, FaultPlan, Probe, RecordingSink, RoundLedger};
 use primitives::ruling::RulingStyle;
@@ -37,13 +37,15 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use crate::classify::{classify_cliques, Classification, CliqueKind};
-use crate::deterministic::{run_hard_phases, Config, PipelineStats};
+use crate::classify::{Classification, CliqueKind};
+use crate::deterministic::{
+    det_phase_acd, det_phase_classification, run_hard_phases, spanned, Config, PipelineStats,
+};
 use crate::easy::color_easy_and_loopholes_scoped;
 use crate::error::DeltaColoringError;
-use crate::loophole::{detect_loopholes, Loophole, LoopholeReport};
+use crate::loophole::{Loophole, LoopholeReport};
 use crate::phase4::run_list_instance;
-use crate::supervisor::{DegradedComponent, Supervisor};
+use crate::supervisor::{DegradedComponent, RandSnapshot, Supervisor};
 
 /// Configuration of the randomized pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -171,7 +173,8 @@ pub fn color_randomized_probed(
     config: &RandConfig,
     probe: &Probe,
 ) -> Result<RandReport, DeltaColoringError> {
-    color_randomized_inner(g, config, probe, None)
+    crate::supervisor::drive_randomized(g, config, None, probe, &Supervisor::passive(), None)
+        .map(crate::supervisor::passive_report)
 }
 
 /// [`color_randomized_probed`] under an injected [`FaultPlan`]: after each
@@ -198,126 +201,114 @@ pub fn color_randomized_with_faults(
     plan: &FaultPlan,
     probe: &Probe,
 ) -> Result<RandReport, DeltaColoringError> {
-    color_randomized_inner(g, config, probe, plan.is_active().then_some(plan))
-}
-
-fn color_randomized_inner(
-    g: &Graph,
-    config: &RandConfig,
-    probe: &Probe,
-    faults: Option<&FaultPlan>,
-) -> Result<RandReport, DeltaColoringError> {
-    match crate::supervisor::drive_randomized(
+    crate::supervisor::drive_randomized(
         g,
         config,
-        faults,
+        plan.is_active().then_some(plan),
         probe,
         &Supervisor::passive(),
         None,
-    )? {
-        crate::supervisor::RunOutcome::Complete { report, .. } => Ok(report),
-        crate::supervisor::RunOutcome::Suspended { .. }
-        | crate::supervisor::RunOutcome::Failed(_) => {
-            unreachable!("a passive supervisor neither suspends nor captures failures")
-        }
-    }
+    )
+    .map(crate::supervisor::passive_report)
 }
 
 /// Pre-shattering: T-node placement with spacing, pair coloring, and the
-/// deferred-ring BFS. Returns the slack (T-node) vertices and the ring
-/// index per vertex. This is the only phase that consumes the run's
-/// randomness (a fresh `StdRng` seeded with `config.seed`), which is why
-/// resumable snapshots store its *outputs* rather than any RNG state.
+/// deferred-ring BFS. Stores the slack (T-node) vertices and the ring
+/// index per vertex in `st`. This is the only phase that consumes the
+/// run's randomness (a fresh `StdRng` seeded with `config.seed`), which
+/// is why resumable snapshots store its *outputs* rather than any RNG
+/// state.
 pub(crate) fn rand_phase_preshatter(
     g: &Graph,
-    config: &RandConfig,
     acd: &AcdResult,
     cls: &Classification,
     coloring: &mut Coloring,
     ledger: &mut RoundLedger,
-    shatter: &mut ShatterStats,
-) -> (Vec<NodeId>, Vec<Option<usize>>) {
+    st: &mut RandSnapshot,
+) -> Result<(), DeltaColoringError> {
+    let config = st.config;
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let probe = ledger.probe().clone();
-    let before = ledger.total();
-    let mut span = probe.span("pipeline/pre-shattering");
-    let clique_graph = build_clique_graph(g, acd, cls);
-    let proposers: Vec<u32> = cls
-        .hard_ids
-        .iter()
-        .copied()
-        .filter(|_| rng.gen_bool(config.placement_prob))
-        .collect();
-    shatter.proposed = proposers.len();
-    let accepted = enforce_spacing(&clique_graph, &proposers, config.spacing);
-    ledger.charge_constant("pre-shattering/T-node spacing", config.spacing as u64);
+    spanned(ledger, "pipeline/pre-shattering", |ledger| {
+        let clique_graph = build_clique_graph(g, acd, cls);
+        let proposers: Vec<u32> = cls
+            .hard_ids
+            .iter()
+            .copied()
+            .filter(|_| rng.gen_bool(config.placement_prob))
+            .collect();
+        st.shatter.proposed = proposers.len();
+        let accepted = enforce_spacing(&clique_graph, &proposers, config.spacing);
+        ledger.charge_constant("pre-shattering/T-node spacing", config.spacing as u64);
 
-    // Choose a triad per accepted clique and same-color its pair with 0.
-    let mut slack_vertices: Vec<NodeId> = Vec::new();
-    for &cid in &accepted {
-        let members = &acd.cliques[cid as usize].vertices;
-        let mut triad = None;
-        'search: for &u in members {
-            for &w in g.neighbors(u) {
-                if !cls.is_hard_vertex[w.index()]
-                    || acd.clique_of[w.index()] == Some(cid)
-                    || coloring.is_colored(w)
+        // Choose a triad per accepted clique and same-color its pair with 0.
+        let mut slack_vertices: Vec<NodeId> = Vec::new();
+        for &cid in &accepted {
+            let members = &acd.cliques[cid as usize].vertices;
+            let mut triad = None;
+            'search: for &u in members {
+                for &w in g.neighbors(u) {
+                    if !cls.is_hard_vertex[w.index()]
+                        || acd.clique_of[w.index()] == Some(cid)
+                        || coloring.is_colored(w)
+                    {
+                        continue;
+                    }
+                    if let Some(&v) = members.iter().find(|&&v| v != u && !g.has_edge(v, w)) {
+                        triad = Some((u, v, w));
+                        break 'search;
+                    }
+                }
+            }
+            let Some((u, v, w)) = triad else {
+                continue; // no usable external hard edge: skip this T-node
+            };
+            // All pairs share color 0, so a pair adjacent to an earlier pair
+            // must be dropped. Spacing >= 4 prevents this entirely; smaller
+            // spacings (the E8 ablation) rely on this local O(1) conflict
+            // check instead.
+            let clash = [v, w].iter().any(|&x| {
+                g.neighbors(x)
+                    .iter()
+                    .any(|&y| coloring.get(y) == Some(Color(0)))
+            });
+            if clash {
+                continue;
+            }
+            coloring.set(v, Color(0));
+            coloring.set(w, Color(0));
+            slack_vertices.push(u);
+        }
+        st.shatter.t_nodes = slack_vertices.len();
+        ledger.charge_constant("pre-shattering/pair coloring", 2);
+
+        // Defer a radius-R ball of uncolored hard vertices around every slack
+        // vertex; ring index = BFS distance (ring 0 = the slack vertex).
+        let mut ring: Vec<Option<usize>> = vec![None; g.n()];
+        let mut queue = std::collections::VecDeque::new();
+        for &u in &slack_vertices {
+            ring[u.index()] = Some(0);
+            queue.push_back(u);
+        }
+        while let Some(v) = queue.pop_front() {
+            let d = ring[v.index()].expect("queued vertices have rings");
+            if d == config.defer_radius {
+                continue;
+            }
+            for &w in g.neighbors(v) {
+                if cls.is_hard_vertex[w.index()]
+                    && !coloring.is_colored(w)
+                    && ring[w.index()].is_none()
                 {
-                    continue;
-                }
-                if let Some(&v) = members.iter().find(|&&v| v != u && !g.has_edge(v, w)) {
-                    triad = Some((u, v, w));
-                    break 'search;
+                    ring[w.index()] = Some(d + 1);
+                    queue.push_back(w);
                 }
             }
         }
-        let Some((u, v, w)) = triad else {
-            continue; // no usable external hard edge: skip this T-node
-        };
-        // All pairs share color 0, so a pair adjacent to an earlier pair
-        // must be dropped. Spacing >= 4 prevents this entirely; smaller
-        // spacings (the E8 ablation) rely on this local O(1) conflict
-        // check instead.
-        let clash = [v, w].iter().any(|&x| {
-            g.neighbors(x)
-                .iter()
-                .any(|&y| coloring.get(y) == Some(Color(0)))
-        });
-        if clash {
-            continue;
-        }
-        coloring.set(v, Color(0));
-        coloring.set(w, Color(0));
-        slack_vertices.push(u);
-    }
-    shatter.t_nodes = slack_vertices.len();
-    ledger.charge_constant("pre-shattering/pair coloring", 2);
-
-    // Defer a radius-R ball of uncolored hard vertices around every slack
-    // vertex; ring index = BFS distance (ring 0 = the slack vertex).
-    let mut ring: Vec<Option<usize>> = vec![None; g.n()];
-    let mut queue = std::collections::VecDeque::new();
-    for &u in &slack_vertices {
-        ring[u.index()] = Some(0);
-        queue.push_back(u);
-    }
-    while let Some(v) = queue.pop_front() {
-        let d = ring[v.index()].expect("queued vertices have rings");
-        if d == config.defer_radius {
-            continue;
-        }
-        for &w in g.neighbors(v) {
-            if cls.is_hard_vertex[w.index()] && !coloring.is_colored(w) && ring[w.index()].is_none()
-            {
-                ring[w.index()] = Some(d + 1);
-                queue.push_back(w);
-            }
-        }
-    }
-    shatter.deferred = ring.iter().flatten().count();
-    span.add_rounds(ledger.total() - before);
-    span.finish();
-    (slack_vertices, ring)
+        st.shatter.deferred = ring.iter().flatten().count();
+        st.slack_vertices = slack_vertices;
+        st.ring = ring;
+        Ok(())
+    })
 }
 
 /// How a pooled component solve was abandoned, if it was.
@@ -350,324 +341,300 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[allow(clippy::too_many_arguments, clippy::too_many_lines)]
 pub(crate) fn rand_phase_postshatter(
     g: &Graph,
-    config: &RandConfig,
     acd: &AcdResult,
     cls: &Classification,
     faults: Option<&FaultPlan>,
     sup: &Supervisor,
-    ring: &[Option<usize>],
     coloring: &mut Coloring,
     ledger: &mut RoundLedger,
-    shatter: &mut ShatterStats,
-    recovery: &mut RecoveryStats,
-    degraded: &mut Vec<DegradedComponent>,
+    st: &mut RandSnapshot,
 ) -> Result<(), DeltaColoringError> {
+    let RandSnapshot {
+        config,
+        shatter,
+        recovery,
+        ring,
+        degraded,
+        ..
+    } = st;
     let delta = g.max_degree();
     let probe = ledger.probe().clone();
-    let before = ledger.total();
-    let mut span = probe.span("pipeline/post-shattering");
-    let leftover = |v: NodeId| {
-        cls.is_hard_vertex[v.index()] && !coloring.is_colored(v) && ring[v.index()].is_none()
-    };
-    let components = leftover_components(g, &leftover);
-    shatter.components = components.len();
-    shatter.max_component = components.iter().map(Vec::len).max().unwrap_or(0);
+    spanned(ledger, "pipeline/post-shattering", |ledger| {
+        let leftover = |v: NodeId| {
+            cls.is_hard_vertex[v.index()] && !coloring.is_colored(v) && ring[v.index()].is_none()
+        };
+        let components = leftover_components(g, &leftover);
+        shatter.components = components.len();
+        shatter.max_component = components.iter().map(Vec::len).max().unwrap_or(0);
 
-    // No edge joins two leftover components, so a component's writes
-    // (confined to its own vertices) can never influence another
-    // component's reads: its vertices' neighborhoods, clique boundaries,
-    // and the frozen pre-shattering colors. Each component is therefore
-    // solved against a *snapshot* of the post-shattering coloring — on
-    // the worker pool, with a per-component probe recording its
-    // telemetry — and colors, events, ledgers, and recovery stats are
-    // merged in component-index order. The observable outcome is a pure
-    // function of (snapshot, component, seed): bit-identical at every
-    // thread count, including the inline `threads = 1` path. A degraded
-    // component likewise contributes deterministically: its attempt is
-    // discarded wholesale (no events, no rounds) and replaced by the
-    // Brooks fallback charged in merge order. Only the wall-clock budget
-    // — documented as a nondeterministic safety net — can break this.
-    let record_events = probe.enabled();
-    let contain = sup.degrade;
-    let outcomes = crate::pool::run_indexed_with_metered(
-        crate::pool::effective_threads(config.base.threads),
-        components.len(),
-        probe.metrics(),
-        || coloring.clone(),
-        |scratch, i| {
-            let comp = &components[i];
-            if sup.chaos.skip_components.contains(&i) {
-                // Chaos: silently lose this component's work. The final
-                // completeness check turns the gap into a validation
-                // failure (and, under a bundle dir, a repro bundle).
-                return ComponentOutcome {
-                    writes: Vec::new(),
-                    events: Vec::new(),
-                    ledger: RoundLedger::new(),
-                    recovery: RecoveryStats::default(),
-                    result: Ok(()),
-                    failure: None,
+        // No edge joins two leftover components, so a component's writes
+        // (confined to its own vertices) can never influence another
+        // component's reads: its vertices' neighborhoods, clique boundaries,
+        // and the frozen pre-shattering colors. Each component is therefore
+        // solved against a *snapshot* of the post-shattering coloring — on
+        // the worker pool, with a per-component probe recording its
+        // telemetry — and colors, events, ledgers, and recovery stats are
+        // merged in component-index order. The observable outcome is a pure
+        // function of (snapshot, component, seed): bit-identical at every
+        // thread count, including the inline `threads = 1` path. A degraded
+        // component likewise contributes deterministically: its attempt is
+        // discarded wholesale (no events, no rounds) and replaced by the
+        // Brooks fallback charged in merge order. Only the wall-clock budget
+        // — documented as a nondeterministic safety net — can break this.
+        let record_events = probe.enabled();
+        let contain = sup.degrade;
+        let outcomes = crate::pool::run_indexed_with_metered(
+            crate::pool::effective_threads(config.base.threads),
+            components.len(),
+            probe.metrics(),
+            || coloring.clone(),
+            |scratch, i| {
+                let comp = &components[i];
+                if sup.chaos.skip_components.contains(&i) {
+                    // Chaos: silently lose this component's work. The final
+                    // completeness check turns the gap into a validation
+                    // failure (and, under a bundle dir, a repro bundle).
+                    return ComponentOutcome {
+                        writes: Vec::new(),
+                        events: Vec::new(),
+                        ledger: RoundLedger::new(),
+                        recovery: RecoveryStats::default(),
+                        result: Ok(()),
+                        failure: None,
+                    };
+                }
+                let comp_seed = config.seed.wrapping_add(i as u64);
+                let recording = record_events.then(|| std::sync::Arc::new(RecordingSink::new()));
+                let mut comp_probe = recording
+                    .as_ref()
+                    .map_or_else(Probe::disabled, |r| Probe::new(r.clone()));
+                // Metric updates commute, so the component's executor-level
+                // metrics can flow straight into the shared hub from the
+                // worker — unlike events, they need no replay-in-order merge.
+                if let Some(hub) = probe.metrics() {
+                    comp_probe = comp_probe.with_metrics(hub.clone());
+                }
+                let mut comp_ledger = RoundLedger::with_probe(comp_probe.clone());
+                let mut comp_recovery = RecoveryStats::default();
+                let started = std::time::Instant::now();
+                let solve = |scratch: &mut Coloring,
+                             comp_ledger: &mut RoundLedger,
+                             comp_recovery: &mut RecoveryStats| {
+                    if sup.chaos.panic_components.contains(&i) {
+                        panic!("chaos: injected panic in leftover component {i}");
+                    }
+                    if let Some(plan) = faults {
+                        solve_component_faulted(
+                            g,
+                            acd,
+                            cls,
+                            comp,
+                            &config.base,
+                            comp_seed,
+                            plan,
+                            &comp_probe,
+                            scratch,
+                            comp_ledger,
+                            comp_recovery,
+                        )
+                    } else {
+                        solve_component(
+                            g,
+                            acd,
+                            cls,
+                            comp,
+                            &config.base,
+                            comp_seed,
+                            scratch,
+                            comp_ledger,
+                        )
+                    }
                 };
-            }
-            let comp_seed = config.seed.wrapping_add(i as u64);
-            let recording = record_events.then(|| std::sync::Arc::new(RecordingSink::new()));
-            let mut comp_probe = recording
-                .as_ref()
-                .map_or_else(Probe::disabled, |r| Probe::new(r.clone()));
-            // Metric updates commute, so the component's executor-level
-            // metrics can flow straight into the shared hub from the
-            // worker — unlike events, they need no replay-in-order merge.
-            if let Some(hub) = probe.metrics() {
-                comp_probe = comp_probe.with_metrics(hub.clone());
-            }
-            let mut comp_ledger = RoundLedger::with_probe(comp_probe.clone());
-            let mut comp_recovery = RecoveryStats::default();
-            let started = std::time::Instant::now();
-            let solve = |scratch: &mut Coloring,
-                         comp_ledger: &mut RoundLedger,
-                         comp_recovery: &mut RecoveryStats| {
-                if sup.chaos.panic_components.contains(&i) {
-                    panic!("chaos: injected panic in leftover component {i}");
-                }
-                if let Some(plan) = faults {
-                    solve_component_faulted(
-                        g,
-                        acd,
-                        cls,
-                        comp,
-                        &config.base,
-                        comp_seed,
-                        plan,
-                        &comp_probe,
-                        scratch,
-                        comp_ledger,
-                        comp_recovery,
-                    )
-                } else {
-                    solve_component(
-                        g,
-                        acd,
-                        cls,
-                        comp,
-                        &config.base,
-                        comp_seed,
-                        scratch,
-                        comp_ledger,
-                    )
-                }
-            };
-            // Containment: only with `degrade` does the solve run under
-            // `catch_unwind` — a passive supervisor preserves the normal
-            // panic propagation of the unsupervised pipeline exactly.
-            let (result, mut failure) = if contain {
-                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    solve(scratch, &mut comp_ledger, &mut comp_recovery)
-                })) {
-                    Ok(Err(e)) => (Ok(()), Some(format!("error: {e}"))),
-                    Ok(ok) => (ok, None),
-                    Err(payload) => {
-                        // Containment path: the run survives this panic,
-                        // but nothing guarantees it survives the next one
-                        // — push everything buffered so far (trace file,
-                        // flight recorder) to durable storage now.
-                        probe.flush();
-                        if let Some(hub) = probe.metrics() {
-                            hub.counter("supervisor.contained_panics").incr();
+                // Containment: only with `degrade` does the solve run under
+                // `catch_unwind` — a passive supervisor preserves the normal
+                // panic propagation of the unsupervised pipeline exactly.
+                let (result, mut failure) = if contain {
+                    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        solve(scratch, &mut comp_ledger, &mut comp_recovery)
+                    })) {
+                        Ok(Err(e)) => (Ok(()), Some(format!("error: {e}"))),
+                        Ok(ok) => (ok, None),
+                        Err(payload) => {
+                            // Containment path: the run survives this panic,
+                            // but nothing guarantees it survives the next one
+                            // — push everything buffered so far (trace file,
+                            // flight recorder) to durable storage now.
+                            probe.flush();
+                            if let Some(hub) = probe.metrics() {
+                                hub.counter("supervisor.contained_panics").incr();
+                            }
+                            (Ok(()), Some(format!("panic: {}", panic_message(&*payload))))
                         }
-                        (Ok(()), Some(format!("panic: {}", panic_message(&*payload))))
+                    }
+                } else {
+                    (solve(scratch, &mut comp_ledger, &mut comp_recovery), None)
+                };
+                if failure.is_none() && result.is_ok() {
+                    if let Some(budget) = sup.component_round_budget {
+                        if comp_ledger.total() > budget {
+                            failure = Some(format!(
+                                "round budget exceeded: {} > {budget}",
+                                comp_ledger.total()
+                            ));
+                        }
                     }
                 }
-            } else {
-                (solve(scratch, &mut comp_ledger, &mut comp_recovery), None)
-            };
-            if failure.is_none() && result.is_ok() {
-                if let Some(budget) = sup.component_round_budget {
-                    if comp_ledger.total() > budget {
-                        failure = Some(format!(
-                            "round budget exceeded: {} > {budget}",
-                            comp_ledger.total()
-                        ));
+                if failure.is_none() && result.is_ok() {
+                    if let Some(ms) = sup.component_wall_budget_ms {
+                        let elapsed = started.elapsed().as_millis() as u64;
+                        if elapsed > ms {
+                            failure = Some(format!(
+                                "wall-clock budget exceeded: {elapsed} ms > {ms} ms"
+                            ));
+                        }
                     }
                 }
-            }
-            if failure.is_none() && result.is_ok() {
-                if let Some(ms) = sup.component_wall_budget_ms {
-                    let elapsed = started.elapsed().as_millis() as u64;
-                    if elapsed > ms {
-                        failure = Some(format!(
-                            "wall-clock budget exceeded: {elapsed} ms > {ms} ms"
-                        ));
-                    }
+                if comp_recovery.retries > 0 {
+                    comp_recovery.components_hit = 1;
                 }
-            }
-            if comp_recovery.retries > 0 {
-                comp_recovery.components_hit = 1;
-            }
-            if let Some(reason) = failure {
-                // Quarantine: every write of the abandoned attempt is
-                // confined to `comp` (see below), so unsetting the
-                // component restores the scratch to the snapshot; the
-                // attempt's events and rounds are discarded wholesale.
+                if let Some(reason) = failure {
+                    // Quarantine: every write of the abandoned attempt is
+                    // confined to `comp` (see below), so unsetting the
+                    // component restores the scratch to the snapshot; the
+                    // attempt's events and rounds are discarded wholesale.
+                    for &v in comp {
+                        if scratch.get(v).is_some() {
+                            scratch.unset(v);
+                        }
+                    }
+                    return ComponentOutcome {
+                        writes: Vec::new(),
+                        events: Vec::new(),
+                        ledger: RoundLedger::new(),
+                        recovery: RecoveryStats::default(),
+                        result: Ok(()),
+                        failure: Some(reason),
+                    };
+                }
+                // Harvest the component's writes (all writes are confined to
+                // `comp`: hard phases color scope-hard vertices, the scoped
+                // easy sweep colors in-scope vertices, and both scopes are
+                // subsets of `comp`), then restore the scratch to the
+                // snapshot for the worker's next component.
+                let mut writes = Vec::with_capacity(comp.len());
                 for &v in comp {
-                    if scratch.get(v).is_some() {
+                    if let Some(c) = scratch.get(v) {
+                        writes.push((v, c));
                         scratch.unset(v);
                     }
                 }
-                return ComponentOutcome {
-                    writes: Vec::new(),
-                    events: Vec::new(),
-                    ledger: RoundLedger::new(),
-                    recovery: RecoveryStats::default(),
-                    result: Ok(()),
-                    failure: Some(reason),
-                };
-            }
-            // Harvest the component's writes (all writes are confined to
-            // `comp`: hard phases color scope-hard vertices, the scoped
-            // easy sweep colors in-scope vertices, and both scopes are
-            // subsets of `comp`), then restore the scratch to the
-            // snapshot for the worker's next component.
-            let mut writes = Vec::with_capacity(comp.len());
-            for &v in comp {
-                if let Some(c) = scratch.get(v) {
-                    writes.push((v, c));
-                    scratch.unset(v);
+                ComponentOutcome {
+                    writes,
+                    events: recording.map(|r| r.events()).unwrap_or_default(),
+                    ledger: comp_ledger,
+                    recovery: comp_recovery,
+                    result,
+                    failure: None,
                 }
+            },
+        );
+        let mut component_ledgers = Vec::with_capacity(outcomes.len());
+        for (i, outcome) in outcomes.into_iter().enumerate() {
+            if let Some(reason) = outcome.failure {
+                if !sup.degrade {
+                    return Err(DeltaColoringError::Supervisor(format!(
+                        "leftover component {i}: {reason} (degradation disabled)"
+                    )));
+                }
+                // Degrade: re-solve the quarantined component with the scoped
+                // Brooks baseline against the partial coloring, charge its
+                // (sequential) cost to the supervisor ledger, and record the
+                // event. Leftover components are pairwise non-adjacent, so
+                // the fallback cannot disturb other components.
+                let comp = &components[i];
+                baselines::brooks_component(g, comp, delta as u32, coloring).map_err(|e| {
+                    DeltaColoringError::InvariantViolated(format!(
+                        "degraded component {i}: Brooks fallback failed: {e}"
+                    ))
+                })?;
+                let cost = comp.len() as u64;
+                ledger.charge(format!("supervisor/baseline component {i}"), cost);
+                probe.emit_with(|| Event::Degraded {
+                    scope: "post-shattering".to_string(),
+                    unit: i as u64,
+                    reason: reason.clone(),
+                    rounds: cost,
+                });
+                degraded.push(DegradedComponent {
+                    index: i,
+                    reason,
+                    rounds: cost,
+                });
+                continue;
             }
-            ComponentOutcome {
-                writes,
-                events: recording.map(|r| r.events()).unwrap_or_default(),
-                ledger: comp_ledger,
-                recovery: comp_recovery,
-                result,
-                failure: None,
+            for event in outcome.events {
+                probe.emit(event);
             }
-        },
-    );
-    let mut component_ledgers = Vec::with_capacity(outcomes.len());
-    for (i, outcome) in outcomes.into_iter().enumerate() {
-        if let Some(reason) = outcome.failure {
-            if !sup.degrade {
-                return Err(DeltaColoringError::Supervisor(format!(
-                    "leftover component {i}: {reason} (degradation disabled)"
-                )));
+            outcome.result?;
+            for (v, c) in outcome.writes {
+                coloring.set(v, c);
             }
-            // Degrade: re-solve the quarantined component with the scoped
-            // Brooks baseline against the partial coloring, charge its
-            // (sequential) cost to the supervisor ledger, and record the
-            // event. Leftover components are pairwise non-adjacent, so
-            // the fallback cannot disturb other components.
-            let comp = &components[i];
-            baselines::brooks_component(g, comp, delta as u32, coloring).map_err(|e| {
-                DeltaColoringError::InvariantViolated(format!(
-                    "degraded component {i}: Brooks fallback failed: {e}"
-                ))
-            })?;
-            let cost = comp.len() as u64;
-            ledger.charge(format!("supervisor/baseline component {i}"), cost);
-            probe.emit_with(|| Event::Degraded {
-                scope: "post-shattering".to_string(),
-                unit: i as u64,
-                reason: reason.clone(),
-                rounds: cost,
-            });
-            degraded.push(DegradedComponent {
-                index: i,
-                reason,
-                rounds: cost,
-            });
-            continue;
+            recovery.retries += outcome.recovery.retries;
+            recovery.struck_vertices += outcome.recovery.struck_vertices;
+            recovery.components_hit += outcome.recovery.components_hit;
+            recovery.recovery_rounds += outcome.recovery.recovery_rounds;
+            recovery.max_attempts = recovery.max_attempts.max(outcome.recovery.max_attempts);
+            component_ledgers.push(outcome.ledger);
         }
-        for event in outcome.events {
-            probe.emit(event);
-        }
-        outcome.result?;
-        for (v, c) in outcome.writes {
-            coloring.set(v, c);
-        }
-        recovery.retries += outcome.recovery.retries;
-        recovery.struck_vertices += outcome.recovery.struck_vertices;
-        recovery.components_hit += outcome.recovery.components_hit;
-        recovery.recovery_rounds += outcome.recovery.recovery_rounds;
-        recovery.max_attempts = recovery.max_attempts.max(outcome.recovery.max_attempts);
-        component_ledgers.push(outcome.ledger);
-    }
-    ledger.absorb_parallel_max("post-shattering", component_ledgers);
-    span.add_rounds(ledger.total() - before);
-    span.finish();
-    Ok(())
+        ledger.absorb_parallel_max("post-shattering", component_ledgers);
+        Ok(())
+    })
 }
 
 /// Post-processing: deferred rings inward, slack vertices last.
 pub(crate) fn rand_phase_postprocess(
     g: &Graph,
-    config: &RandConfig,
-    slack_vertices: &[NodeId],
-    ring: &[Option<usize>],
+    st: &RandSnapshot,
     coloring: &mut Coloring,
     ledger: &mut RoundLedger,
 ) -> Result<(), DeltaColoringError> {
+    let RandSnapshot {
+        config,
+        slack_vertices,
+        ring,
+        ..
+    } = st;
     let delta = g.max_degree();
-    let probe = ledger.probe().clone();
-    let before = ledger.total();
-    let mut span = probe.span("pipeline/post-processing");
-    for l in (1..=config.defer_radius).rev() {
-        let active: Vec<NodeId> = g
-            .vertices()
-            .filter(|&v| ring[v.index()] == Some(l) && !coloring.is_colored(v))
+    spanned(ledger, "pipeline/post-processing", |ledger| {
+        for l in (1..=config.defer_radius).rev() {
+            let active: Vec<NodeId> = g
+                .vertices()
+                .filter(|&v| ring[v.index()] == Some(l) && !coloring.is_colored(v))
+                .collect();
+            run_list_instance(
+                g,
+                &active,
+                delta as u32,
+                coloring,
+                format!("post-processing/T ring {l}"),
+                ledger,
+            )?;
+        }
+        let slack_uncolored: Vec<NodeId> = slack_vertices
+            .iter()
+            .copied()
+            .filter(|&v| !coloring.is_colored(v))
             .collect();
         run_list_instance(
             g,
-            &active,
+            &slack_uncolored,
             delta as u32,
             coloring,
-            format!("post-processing/T ring {l}"),
+            "post-processing/slack vertices",
             ledger,
         )?;
-    }
-    let slack_uncolored: Vec<NodeId> = slack_vertices
-        .iter()
-        .copied()
-        .filter(|&v| !coloring.is_colored(v))
-        .collect();
-    run_list_instance(
-        g,
-        &slack_uncolored,
-        delta as u32,
-        coloring,
-        "post-processing/slack vertices",
-        ledger,
-    )?;
-    span.add_rounds(ledger.total() - before);
-    span.finish();
-    Ok(())
-}
-
-/// Post-processing II: easy cliques and loopholes (Algorithm 3), with the
-/// randomized ruling style.
-pub(crate) fn rand_phase_easy(
-    g: &Graph,
-    config: &RandConfig,
-    loopholes: &LoopholeReport,
-    coloring: &mut Coloring,
-    ledger: &mut RoundLedger,
-) -> Result<(), DeltaColoringError> {
-    let probe = ledger.probe().clone();
-    let before = ledger.total();
-    let mut span = probe.span("pipeline/easy sweep");
-    color_easy_and_loopholes_scoped(
-        g,
-        loopholes,
-        config.base.ruling_r,
-        RulingStyle::Randomized(config.seed ^ 0xE457_0000),
-        None,
-        config.base.threads,
-        coloring,
-        ledger,
-    )?;
-    span.add_rounds(ledger.total() - before);
-    span.finish();
-    Ok(())
+        Ok(())
+    })
 }
 
 /// Adjacency graph of hard cliques (an edge when any member edge crosses).
@@ -1002,137 +969,114 @@ fn solve_component_faulted(
 pub(crate) fn color_large_delta(
     g: &Graph,
     config: &RandConfig,
-    probe: &Probe,
-) -> Result<RandReport, DeltaColoringError> {
+    coloring: &mut Coloring,
+    ledger: &mut RoundLedger,
+    shatter: &mut ShatterStats,
+) -> Result<(), DeltaColoringError> {
     let delta = g.max_degree();
     let mut rng = StdRng::seed_from_u64(config.seed ^ 0x1A26_00E0);
-    let mut ledger = RoundLedger::with_probe(probe.clone());
-    let mut coloring = Coloring::empty(g.n());
-    let mut shatter = ShatterStats {
-        large_delta_branch: true,
-        ..ShatterStats::default()
-    };
-    let before = ledger.total();
-    let mut span = probe.span("pipeline/large-delta branch");
+    shatter.large_delta_branch = true;
+    spanned(ledger, "pipeline/large-delta branch", |ledger| {
+        let acd = det_phase_acd(g, &config.base, ledger)?;
+        let (loopholes, cls) = det_phase_classification(g, &acd, ledger)?;
 
-    let acd = compute_acd(g, &config.base.acd);
-    ledger.charge_constant("acd computation", acd.rounds);
-    if !acd.is_dense() {
-        return Err(DeltaColoringError::NotDense {
-            sparse: acd.sparse.len(),
-        });
-    }
-    let loopholes = detect_loopholes(g, &acd.clique_of);
-    ledger.charge_constant("loophole detection", loopholes.rounds);
-    let cls = classify_cliques(g, &acd, &loopholes)?;
-    ledger.charge_constant("hard/easy classification", cls.rounds);
-
-    // Sample one triad per hard clique; pairs must be mutually non-adjacent
-    // across cliques only in the conflict-graph sense (handled by trials).
-    let mut pairs: Vec<(NodeId, NodeId)> = Vec::new();
-    let mut slack: Vec<NodeId> = Vec::new();
-    let mut used = vec![false; g.n()];
-    for &cid in &cls.hard_ids {
-        let members = &acd.cliques[cid as usize].vertices;
-        let mut triad = None;
-        for _ in 0..32 {
-            let u = members[rng.gen_range(0..members.len())];
-            if used[u.index()] {
-                continue;
+        // Sample one triad per hard clique; pairs must be mutually non-adjacent
+        // across cliques only in the conflict-graph sense (handled by trials).
+        let mut pairs: Vec<(NodeId, NodeId)> = Vec::new();
+        let mut slack: Vec<NodeId> = Vec::new();
+        let mut used = vec![false; g.n()];
+        for &cid in &cls.hard_ids {
+            let members = &acd.cliques[cid as usize].vertices;
+            let mut triad = None;
+            for _ in 0..32 {
+                let u = members[rng.gen_range(0..members.len())];
+                if used[u.index()] {
+                    continue;
+                }
+                let externals: Vec<NodeId> = g
+                    .neighbors(u)
+                    .iter()
+                    .copied()
+                    .filter(|&w| {
+                        cls.is_hard_vertex[w.index()]
+                            && acd.clique_of[w.index()] != Some(cid)
+                            && !used[w.index()]
+                    })
+                    .collect();
+                if externals.is_empty() {
+                    continue;
+                }
+                let w = externals[rng.gen_range(0..externals.len())];
+                if let Some(&v) = members
+                    .iter()
+                    .find(|&&v| v != u && !used[v.index()] && !g.has_edge(v, w))
+                {
+                    triad = Some((u, v, w));
+                    break;
+                }
             }
-            let externals: Vec<NodeId> = g
-                .neighbors(u)
-                .iter()
-                .copied()
-                .filter(|&w| {
-                    cls.is_hard_vertex[w.index()]
-                        && acd.clique_of[w.index()] != Some(cid)
-                        && !used[w.index()]
-                })
-                .collect();
-            if externals.is_empty() {
-                continue;
-            }
-            let w = externals[rng.gen_range(0..externals.len())];
-            if let Some(&v) = members
-                .iter()
-                .find(|&&v| v != u && !used[v.index()] && !g.has_edge(v, w))
-            {
-                triad = Some((u, v, w));
-                break;
+            if let Some((u, v, w)) = triad {
+                for x in [u, v, w] {
+                    used[x.index()] = true;
+                }
+                pairs.push((v, w));
+                slack.push(u);
             }
         }
-        if let Some((u, v, w)) = triad {
-            for x in [u, v, w] {
-                used[x.index()] = true;
-            }
-            pairs.push((v, w));
-            slack.push(u);
+        shatter.t_nodes = pairs.len();
+        ledger.charge_constant("large-delta/triad sampling", 2);
+
+        // Color pairs by parallel random trials on the pair-conflict graph.
+        let trial_rounds = random_pair_trials(g, &pairs, delta as u32, &mut rng, coloring)?;
+        ledger.charge_virtual("large-delta/pair trials", trial_rounds, 3);
+
+        // Color everything else: non-slack hard vertices by stalled trials,
+        // then slack vertices (permanent slack), then the easy sweep.
+        let mut is_slack = vec![false; g.n()];
+        for &u in &slack {
+            is_slack[u.index()] = true;
         }
-    }
-    shatter.t_nodes = pairs.len();
-    ledger.charge_constant("large-delta/triad sampling", 2);
-
-    // Color pairs by parallel random trials on the pair-conflict graph.
-    let trial_rounds = random_pair_trials(g, &pairs, delta as u32, &mut rng, &mut coloring)?;
-    ledger.charge_virtual("large-delta/pair trials", trial_rounds, 3);
-
-    // Color everything else: non-slack hard vertices by stalled trials,
-    // then slack vertices (permanent slack), then the easy sweep.
-    let mut is_slack = vec![false; g.n()];
-    for &u in &slack {
-        is_slack[u.index()] = true;
-    }
-    let stage1: Vec<NodeId> = g
-        .vertices()
-        .filter(|&v| {
-            cls.is_hard_vertex[v.index()] && !coloring.is_colored(v) && !is_slack[v.index()]
-        })
-        .collect();
-    // A vertex without a slack source in stage 1 stalls on its clique's
-    // slack vertex; cliques without a triad stall on an easy neighbor the
-    // same way the deterministic pipeline's Type II handling does. Use the
-    // generic instance machinery (which validates palettes).
-    run_list_instance(
-        g,
-        &stage1,
-        delta as u32,
-        &mut coloring,
-        "large-delta/hard body",
-        &mut ledger,
-    )?;
-    let stage2: Vec<NodeId> = g
-        .vertices()
-        .filter(|&v| is_slack[v.index()] && !coloring.is_colored(v))
-        .collect();
-    run_list_instance(
-        g,
-        &stage2,
-        delta as u32,
-        &mut coloring,
-        "large-delta/slack",
-        &mut ledger,
-    )?;
-    color_easy_and_loopholes_scoped(
-        g,
-        &loopholes,
-        config.base.ruling_r,
-        RulingStyle::Randomized(config.seed ^ 0x1A26_00E1),
-        None,
-        config.base.threads,
-        &mut coloring,
-        &mut ledger,
-    )?;
-    span.add_rounds(ledger.total() - before);
-    span.finish();
-    coloring
-        .check_complete(g, delta as u32)
-        .map_err(|e| DeltaColoringError::InvariantViolated(format!("final coloring: {e}")))?;
-    Ok(RandReport {
-        coloring,
-        ledger,
-        shatter,
-        recovery: RecoveryStats::default(),
+        let stage1: Vec<NodeId> = g
+            .vertices()
+            .filter(|&v| {
+                cls.is_hard_vertex[v.index()] && !coloring.is_colored(v) && !is_slack[v.index()]
+            })
+            .collect();
+        // A vertex without a slack source in stage 1 stalls on its clique's
+        // slack vertex; cliques without a triad stall on an easy neighbor the
+        // same way the deterministic pipeline's Type II handling does. Use the
+        // generic instance machinery (which validates palettes).
+        run_list_instance(
+            g,
+            &stage1,
+            delta as u32,
+            coloring,
+            "large-delta/hard body",
+            ledger,
+        )?;
+        let stage2: Vec<NodeId> = g
+            .vertices()
+            .filter(|&v| is_slack[v.index()] && !coloring.is_colored(v))
+            .collect();
+        run_list_instance(
+            g,
+            &stage2,
+            delta as u32,
+            coloring,
+            "large-delta/slack",
+            ledger,
+        )?;
+        color_easy_and_loopholes_scoped(
+            g,
+            &loopholes,
+            config.base.ruling_r,
+            RulingStyle::Randomized(config.seed ^ 0x1A26_00E1),
+            None,
+            config.base.threads,
+            coloring,
+            ledger,
+        )?;
+        Ok(())
     })
 }
 

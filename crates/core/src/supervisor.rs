@@ -1,10 +1,14 @@
 //! The run supervisor: phase checkpointing, crash-resumable pipelines,
 //! panic containment with baseline degradation, and failure repro bundles.
 //!
-//! Both pipelines decompose into phase functions
-//! ([`crate::deterministic`], [`crate::randomized`]); this module owns the
-//! *composition*. A [`Supervisor`] configures what happens at each phase
-//! boundary and around each pooled component solve:
+//! Both pipelines decompose into phase functions; this module owns the
+//! *composition*, through one private driver that both
+//! [`drive_deterministic`] and [`drive_randomized`] call. Each pipeline
+//! contributes only its phase sequence, its snapshot payload
+//! ([`DetSnapshot`] / [`RandSnapshot`]) and its bundle config; the driver
+//! owns validation, snapshot restore, the phase-boundary writer and
+//! failure capture. A [`Supervisor`] configures what happens at each
+//! phase boundary and around each pooled component solve:
 //!
 //! * **Checkpointing** — with a `checkpoint_dir`, every completed phase
 //!   serializes a versioned [`Snapshot`] (graph digest, coloring, ledger,
@@ -31,6 +35,8 @@
 //! A *passive* supervisor ([`Supervisor::passive`]) does none of the
 //! above; `color_randomized`/`color_deterministic` delegate to the drivers
 //! here with a passive supervisor, so there is exactly one engine.
+//! `stop_after` must name a boundary the run passes; the driver rejects
+//! any other phase up front.
 //!
 //! Round budgets are deterministic (they compare ledger totals) and
 //! preserve bit-identity; the wall-clock budget is a nondeterministic
@@ -43,21 +49,24 @@ use std::str::FromStr;
 use std::sync::Arc;
 use std::time::Instant;
 
-use graphgen::{Coloring, Graph, NodeId};
+use acd::AcdResult;
+use graphgen::{Color, Coloring, Graph, NodeId};
 use localsim::{Event, FaultPlan, FlightRecorder, Probe, RoundLedger};
+use primitives::ruling::RulingStyle;
 use serde::{json, Deserialize, Serialize};
 
+use crate::classify::Classification;
 use crate::deterministic::{
     det_phase1, det_phase2, det_phase3, det_phase4, det_phase_acd, det_phase_classification,
-    det_phase_easy, Config, PipelineStats, Report,
+    phase_easy, Config, PipelineStats, Report,
 };
 use crate::error::DeltaColoringError;
+use crate::loophole::LoopholeReport;
 use crate::randomized::{
-    color_large_delta, rand_phase_easy, rand_phase_postprocess, rand_phase_postshatter,
-    rand_phase_preshatter, RandConfig, RandReport, RecoveryStats, ShatterStats,
+    color_large_delta, rand_phase_postprocess, rand_phase_postshatter, rand_phase_preshatter,
+    RandConfig, RandReport, RecoveryStats, ShatterStats,
 };
 use crate::shard::{run_shard_case, ShardRunSpec};
-use graphgen::Color;
 
 /// On-disk snapshot format version; bumped on incompatible layout changes.
 pub const SNAPSHOT_VERSION: u32 = 1;
@@ -184,7 +193,7 @@ impl<'de> Deserialize<'de> for PhaseCursor {
 /// specific leftover components to panic (exercising containment) or to
 /// silently skip their solve (producing a final validation failure and
 /// hence a repro bundle). Component indices refer to the merge order of
-/// [`crate::randomized`]'s leftover components.
+/// the randomized pipeline's leftover components.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ChaosPlan {
     /// Components that panic at the start of their solve.
@@ -261,20 +270,6 @@ impl Supervisor {
     /// when `bundle_dir` is set) instead of propagating as `Err`.
     pub fn captures_failures(&self) -> bool {
         self.capture_failures || self.bundle_dir.is_some()
-    }
-
-    fn validate(&self) -> Result<(), DeltaColoringError> {
-        if self.stop_after.is_some() && self.checkpoint_dir.is_none() {
-            return Err(DeltaColoringError::Supervisor(
-                "--stop-after requires a checkpoint directory".to_string(),
-            ));
-        }
-        Ok(())
-    }
-
-    /// The flight recorder's current tail, or empty without a recorder.
-    fn flight_tail(&self) -> Vec<Event> {
-        self.flight.as_ref().map(|f| f.tail()).unwrap_or_default()
     }
 }
 
@@ -481,6 +476,14 @@ impl<R> RunOutcome<R> {
             _ => None,
         }
     }
+
+    /// The error and violations of a `Failed` outcome.
+    fn failure(self) -> (Option<String>, Vec<String>) {
+        match self {
+            RunOutcome::Failed(f) => (Some(f.error), f.violations),
+            _ => (None, Vec::new()),
+        }
+    }
 }
 
 /// Outcome of [`replay_bundle`].
@@ -603,45 +606,346 @@ pub fn load_bundle(path: &Path) -> Result<ReproBundle, DeltaColoringError> {
     Ok(bundle)
 }
 
-fn check_snapshot(
-    snap: &Snapshot,
-    g: &Graph,
-    expected: PipelineKind,
-) -> Result<(), DeltaColoringError> {
-    if snap.pipeline != expected {
-        return Err(DeltaColoringError::Supervisor(format!(
-            "snapshot was written by the {:?} pipeline, resuming the {expected:?} pipeline",
-            snap.pipeline
+// ---------------------------------------------------------------------
+// The shared driver.
+// ---------------------------------------------------------------------
+
+/// The maximum degree, or an error when it is below 4, the smallest Δ
+/// this crate supports.
+pub(crate) fn supported_delta(g: &Graph) -> Result<usize, DeltaColoringError> {
+    let delta = g.max_degree();
+    if delta < 4 {
+        return Err(DeltaColoringError::UnsupportedStructure(format!(
+            "maximum degree {delta} is below the supported minimum of 4"
         )));
     }
-    let digest = graph_digest(g);
-    if snap.graph_digest != digest {
-        return Err(DeltaColoringError::Supervisor(format!(
-            "snapshot graph digest {:#018x} (n={}, m={}) does not match this graph's \
-             {digest:#018x} (n={}, m={}); resume on the exact graph the run started with",
-            snap.graph_digest,
-            snap.n,
-            snap.m,
-            g.n(),
-            g.m()
-        )));
-    }
-    Ok(())
+    Ok(delta)
 }
 
-// ---------------------------------------------------------------------
-// Randomized driver.
-// ---------------------------------------------------------------------
+/// The report of a run under [`Supervisor::passive`], which neither
+/// suspends nor captures failures.
+pub(crate) fn passive_report<R>(outcome: RunOutcome<R>) -> R {
+    outcome
+        .into_report()
+        .expect("a passive supervisor neither suspends nor captures failures")
+}
 
-struct RandRunState {
+/// What one pipeline contributes to the shared driver: its phase
+/// sequence, its snapshot payload and its bundle config. The implementor
+/// is the payload, which doubles as the state the pipeline carries across
+/// phase boundaries; the driver owns the coloring and the ledger.
+trait Pipeline: Clone {
+    type Report;
+    const KIND: PipelineKind;
+    /// Whether the run on `g` passes `cursor`'s boundary.
+    fn passes(&self, g: &Graph, cursor: PhaseCursor) -> bool;
+    fn same_config(&self, other: &Self) -> bool;
+    /// This pipeline's payload slot in a snapshot.
+    fn slot(snap: &mut Snapshot) -> &mut Option<Self>;
+    /// Records the config and any degraded components into a bundle.
+    fn describe(&self, bundle: &mut ReproBundle);
+    /// Folds the shared classification into the payload (also on
+    /// replay, so it must only set what it derives).
+    fn classified(&mut self, _: &AcdResult, _: &LoopholeReport, _: &Classification) {}
+    fn run_phases(&mut self, run: &mut Run<'_>) -> Result<(), Halt>;
+    fn report(self, coloring: Coloring, ledger: RoundLedger) -> RunOutcome<Self::Report>;
+}
+
+/// Why a phase sequence ended early.
+enum Halt {
+    /// `stop_after` fired right after this boundary's snapshot was saved.
+    Suspend(PhaseCursor, PathBuf),
+    Fail(DeltaColoringError),
+}
+
+impl From<DeltaColoringError> for Halt {
+    fn from(e: DeltaColoringError) -> Self {
+        Halt::Fail(e)
+    }
+}
+
+/// One supervised run: its inputs, where it resumed, and the state every
+/// pipeline carries.
+struct Run<'a> {
+    g: &'a Graph,
+    faults: Option<&'a FaultPlan>,
+    probe: &'a Probe,
+    sup: &'a Supervisor,
+    resumed: Option<PhaseCursor>,
+    last_done: Option<PhaseCursor>,
     coloring: Coloring,
     ledger: RoundLedger,
-    shatter: ShatterStats,
-    recovery: RecoveryStats,
-    slack_vertices: Vec<NodeId>,
-    ring: Vec<Option<usize>>,
-    degraded: Vec<DegradedComponent>,
+    /// Charged by replayed phases; its probe is disabled.
+    scratch: RoundLedger,
 }
+
+/// Rejects a cursor that names no boundary the run passes, listing the
+/// boundaries it does pass.
+fn check_passes<P: Pipeline>(
+    state: &P,
+    g: &Graph,
+    cursor: PhaseCursor,
+    what: &str,
+) -> Result<(), DeltaColoringError> {
+    if state.passes(g, cursor) {
+        return Ok(());
+    }
+    let passed: Vec<&str> = PhaseCursor::ALL
+        .iter()
+        .filter(|&&c| state.passes(g, c))
+        .map(|c| c.slug())
+        .collect();
+    Err(DeltaColoringError::Supervisor(format!(
+        "{what} `{cursor}` is not a boundary of this {:?} run; its boundaries are: {}",
+        P::KIND,
+        if passed.is_empty() {
+            "none".to_string()
+        } else {
+            passed.join(", ")
+        }
+    )))
+}
+
+/// The driver behind [`drive_deterministic`] and [`drive_randomized`].
+fn drive<P: Pipeline>(
+    g: &Graph,
+    mut state: P,
+    faults: Option<&FaultPlan>,
+    probe: &Probe,
+    sup: &Supervisor,
+    resume: Option<Snapshot>,
+) -> Result<RunOutcome<P::Report>, DeltaColoringError> {
+    if sup.stop_after.is_some() && sup.checkpoint_dir.is_none() {
+        return Err(DeltaColoringError::Supervisor(
+            "--stop-after requires a checkpoint directory".to_string(),
+        ));
+    }
+    let delta = supported_delta(g)?;
+    if let Some(stop) = sup.stop_after {
+        check_passes(&state, g, stop, "stop-after phase")?;
+    }
+    let mut run = Run {
+        g,
+        faults,
+        probe,
+        sup,
+        resumed: None,
+        last_done: None,
+        coloring: Coloring::empty(g.n()),
+        ledger: RoundLedger::with_probe(probe.clone()),
+        scratch: RoundLedger::new(),
+    };
+    if let Some(snap) = resume {
+        state = run.restore(snap, &state)?;
+    }
+    let flow = state.run_phases(&mut run).and_then(|()| {
+        run.coloring.check_complete(g, delta as u32).map_err(|e| {
+            DeltaColoringError::InvariantViolated(format!("final coloring: {e}")).into()
+        })
+    });
+    match flow {
+        Ok(()) => Ok(state.report(run.coloring, run.ledger)),
+        Err(Halt::Suspend(cursor, snapshot)) => Ok(RunOutcome::Suspended { cursor, snapshot }),
+        Err(Halt::Fail(e)) if sup.captures_failures() => run.capture(&e, &state),
+        Err(Halt::Fail(e)) => Err(e),
+    }
+}
+
+impl Run<'_> {
+    /// Checks `snap` against this run and moves its state in; the ledger
+    /// gets the run's probe back, so only future charges emit telemetry.
+    fn restore<P: Pipeline>(
+        &mut self,
+        mut snap: Snapshot,
+        fresh: &P,
+    ) -> Result<P, DeltaColoringError> {
+        let restore_start = Instant::now();
+        let reject = |msg: String| Err(DeltaColoringError::Supervisor(msg));
+        if snap.pipeline != P::KIND {
+            return reject(format!(
+                "snapshot was written by the {:?} pipeline, resuming the {:?} pipeline",
+                snap.pipeline,
+                P::KIND
+            ));
+        }
+        let digest = graph_digest(self.g);
+        if snap.graph_digest != digest {
+            return reject(format!(
+                "snapshot graph digest {:#018x} (n={}, m={}) does not match this graph's \
+                 {digest:#018x} (n={}, m={}); resume on the exact graph the run started with",
+                snap.graph_digest,
+                snap.n,
+                snap.m,
+                self.g.n(),
+                self.g.m()
+            ));
+        }
+        let Some(state) = P::slot(&mut snap).take() else {
+            return reject(format!(
+                "{:?} snapshot is missing its pipeline state",
+                P::KIND
+            ));
+        };
+        if !state.same_config(fresh) {
+            return reject(
+                "snapshot configuration differs from the resume configuration; \
+                 resume with the snapshot's own config"
+                    .to_string(),
+            );
+        }
+        if snap.faults.as_ref() != self.faults {
+            return reject("snapshot fault plan differs from the resume fault plan".to_string());
+        }
+        check_passes(fresh, self.g, snap.cursor, "snapshot cursor")?;
+        self.resumed = Some(snap.cursor);
+        self.last_done = Some(snap.cursor);
+        self.coloring = snap.coloring;
+        self.ledger = snap.ledger;
+        self.ledger.set_probe(self.probe.clone());
+        if let Some(hub) = self.probe.metrics() {
+            hub.counter("supervisor.resumes").incr();
+            hub.histogram("supervisor.resume_restore_ns")
+                .observe(u64::try_from(restore_start.elapsed().as_nanos()).unwrap_or(u64::MAX));
+        }
+        Ok(state)
+    }
+
+    /// Whether the resumed snapshot already accounts for `cursor`'s
+    /// phase. Such a phase is skipped when its outputs are in the
+    /// snapshot, or else — being a pure function of the graph and config
+    /// — recomputed against [`Run::ledger_for`]'s scratch ledger, so no
+    /// charge or event is emitted twice.
+    fn replays(&self, cursor: PhaseCursor) -> bool {
+        self.resumed
+            .is_some_and(|rc| cursor.ordinal() <= rc.ordinal())
+    }
+
+    /// The ledger `cursor`'s phase charges: the run's, or the scratch
+    /// ledger when the phase is replayed.
+    fn ledger_for(&mut self, cursor: PhaseCursor) -> &mut RoundLedger {
+        if self.replays(cursor) {
+            &mut self.scratch
+        } else {
+            &mut self.ledger
+        }
+    }
+
+    /// Passes `cursor`'s boundary, unless the phase was replayed: saves
+    /// the snapshot atomically when checkpointing, then halts if
+    /// `stop_after` names `cursor`.
+    fn boundary<P: Pipeline>(&mut self, cursor: PhaseCursor, state: &P) -> Result<(), Halt> {
+        if self.replays(cursor) {
+            return Ok(());
+        }
+        self.last_done = Some(cursor);
+        let Some(dir) = &self.sup.checkpoint_dir else {
+            return Ok(());
+        };
+        let mut snap = Snapshot {
+            version: SNAPSHOT_VERSION,
+            pipeline: P::KIND,
+            graph_digest: graph_digest(self.g),
+            n: self.g.n(),
+            m: self.g.m(),
+            cursor,
+            coloring: self.coloring.clone(),
+            ledger: self.ledger.clone(),
+            faults: self.faults.cloned(),
+            rand: None,
+            det: None,
+        };
+        *P::slot(&mut snap) = Some(state.clone());
+        let write_start = Instant::now();
+        let path = save_snapshot(dir, &snap)?;
+        if let Some(hub) = self.probe.metrics() {
+            hub.counter("supervisor.checkpoints").incr();
+            hub.histogram("supervisor.checkpoint_write_ns")
+                .observe(u64::try_from(write_start.elapsed().as_nanos()).unwrap_or(u64::MAX));
+        }
+        self.probe.emit_with(|| Event::Checkpoint {
+            cursor: cursor.slug().to_string(),
+            rounds: self.ledger.total(),
+        });
+        // Phase boundaries are the durability points of a supervised run:
+        // a kill after this line must find the trace as complete as the
+        // snapshot.
+        self.probe.flush();
+        if self.sup.stop_after == Some(cursor) {
+            return Err(Halt::Suspend(cursor, path));
+        }
+        Ok(())
+    }
+
+    /// ACD and classification, the shared first steps of both pipelines.
+    fn classify<P: Pipeline>(
+        &mut self,
+        config: &Config,
+        state: &mut P,
+    ) -> Result<(AcdResult, LoopholeReport, Classification), Halt> {
+        let g = self.g;
+        let acd = det_phase_acd(g, config, self.ledger_for(PhaseCursor::Acd))?;
+        self.boundary(PhaseCursor::Acd, state)?;
+        let ledger = self.ledger_for(PhaseCursor::Classification);
+        let (loopholes, cls) = det_phase_classification(g, &acd, ledger)?;
+        state.classified(&acd, &loopholes, &cls);
+        self.boundary(PhaseCursor::Classification, state)?;
+        Ok((acd, loopholes, cls))
+    }
+
+    /// Turns a run error into [`RunOutcome::Failed`], with a
+    /// [`ReproBundle`] when the supervisor has a bundle directory.
+    fn capture<P: Pipeline>(
+        &self,
+        e: &DeltaColoringError,
+        state: &P,
+    ) -> Result<RunOutcome<P::Report>, DeltaColoringError> {
+        // The run is over; make sure everything buffered (trace file,
+        // fanned-out sinks) reaches disk before the bundle is built.
+        self.probe.flush();
+        let violations =
+            crate::validate::check_coloring(self.g, &self.coloring, self.g.max_degree() as u32)
+                .iter()
+                .map(ToString::to_string)
+                .collect();
+        let mut bundle = ReproBundle {
+            version: BUNDLE_VERSION,
+            pipeline: P::KIND,
+            graph: self.g.clone(),
+            rand_config: None,
+            det_config: None,
+            faults: self.faults.cloned(),
+            chaos: self.sup.chaos.clone(),
+            degrade: self.sup.degrade,
+            cursor: self.last_done.map(|c| c.slug().to_string()),
+            error: e.to_string(),
+            violations,
+            degraded: Vec::new(),
+            flight: self
+                .sup
+                .flight
+                .as_ref()
+                .map(|f| f.tail())
+                .unwrap_or_default(),
+            shard_config: None,
+        };
+        state.describe(&mut bundle);
+        let path = match &self.sup.bundle_dir {
+            Some(dir) => Some(save_bundle(dir, &bundle)?),
+            None => None,
+        };
+        Ok(RunOutcome::Failed(FailureReport {
+            error: bundle.error,
+            violations: bundle.violations,
+            cursor: self.last_done,
+            bundle: path,
+            degraded: bundle.degraded,
+        }))
+    }
+}
+
+// ---------------------------------------------------------------------
+// The two pipelines.
+// ---------------------------------------------------------------------
 
 /// Runs the randomized pipeline under `sup`, optionally resuming from a
 /// snapshot. With [`Supervisor::passive`] and no resume this is exactly
@@ -650,9 +954,9 @@ struct RandRunState {
 /// # Errors
 ///
 /// As [`crate::color_randomized`], plus [`DeltaColoringError::Supervisor`]
-/// for checkpoint I/O and snapshot-validation failures. When
-/// [`Supervisor::captures_failures`] is set, run errors surface as
-/// [`RunOutcome::Failed`] instead.
+/// for checkpoint I/O, snapshot-validation failures, and a `stop_after`
+/// phase the run never passes. When [`Supervisor::captures_failures`] is
+/// set, run errors surface as [`RunOutcome::Failed`] instead.
 pub fn drive_randomized(
     g: &Graph,
     config: &RandConfig,
@@ -661,315 +965,15 @@ pub fn drive_randomized(
     sup: &Supervisor,
     resume: Option<Snapshot>,
 ) -> Result<RunOutcome<RandReport>, DeltaColoringError> {
-    sup.validate()?;
-    let delta = g.max_degree();
-    if delta < 4 {
-        return Err(DeltaColoringError::UnsupportedStructure(format!(
-            "maximum degree {delta} is below the supported minimum of 4"
-        )));
-    }
-    if let Some(th) = config.large_delta_threshold {
-        if delta >= th {
-            if resume.is_some() {
-                return Err(DeltaColoringError::Supervisor(
-                    "the large-Δ branch has no phase boundaries and cannot resume".to_string(),
-                ));
-            }
-            let report = color_large_delta(g, config, probe)?;
-            return Ok(RunOutcome::Complete {
-                report,
-                degraded: Vec::new(),
-            });
-        }
-    }
-
-    let mut resume_cursor = None;
-    let restore_start = Instant::now();
-    let mut st = match resume {
-        Some(snap) => {
-            check_snapshot(&snap, g, PipelineKind::Randomized)?;
-            let rs = snap.rand.ok_or_else(|| {
-                DeltaColoringError::Supervisor(
-                    "randomized snapshot is missing its pipeline state".to_string(),
-                )
-            })?;
-            if rs.config != *config {
-                return Err(DeltaColoringError::Supervisor(
-                    "snapshot configuration differs from the resume configuration; \
-                     resume with the snapshot's own config"
-                        .to_string(),
-                ));
-            }
-            if snap.faults != faults.cloned() {
-                return Err(DeltaColoringError::Supervisor(
-                    "snapshot fault plan differs from the resume fault plan".to_string(),
-                ));
-            }
-            resume_cursor = Some(snap.cursor);
-            let mut ledger = snap.ledger;
-            ledger.set_probe(probe.clone());
-            RandRunState {
-                coloring: snap.coloring,
-                ledger,
-                shatter: rs.shatter,
-                recovery: rs.recovery,
-                slack_vertices: rs.slack_vertices,
-                ring: rs.ring,
-                degraded: rs.degraded,
-            }
-        }
-        None => RandRunState {
-            coloring: Coloring::empty(g.n()),
-            ledger: RoundLedger::with_probe(probe.clone()),
-            shatter: ShatterStats::default(),
-            recovery: RecoveryStats::default(),
-            slack_vertices: Vec::new(),
-            ring: Vec::new(),
-            degraded: Vec::new(),
-        },
+    let fresh = RandSnapshot {
+        config: *config,
+        shatter: ShatterStats::default(),
+        recovery: RecoveryStats::default(),
+        slack_vertices: Vec::new(),
+        ring: Vec::new(),
+        degraded: Vec::new(),
     };
-    record_resume_metrics(probe, resume_cursor.is_some(), restore_start);
-
-    let mut last_done = resume_cursor;
-    let flow = run_randomized_phases(
-        g,
-        config,
-        faults,
-        probe,
-        sup,
-        &mut st,
-        resume_cursor,
-        &mut last_done,
-    );
-    match flow {
-        Ok(Some((cursor, snapshot))) => Ok(RunOutcome::Suspended { cursor, snapshot }),
-        Ok(None) => Ok(RunOutcome::Complete {
-            report: RandReport {
-                coloring: st.coloring,
-                ledger: st.ledger,
-                shatter: st.shatter,
-                recovery: st.recovery,
-            },
-            degraded: st.degraded,
-        }),
-        Err(e) if sup.captures_failures() => {
-            // The run is over; make sure everything buffered (trace file,
-            // fanned-out sinks) reaches disk before the bundle is built.
-            probe.flush();
-            let violations: Vec<String> =
-                crate::validate::check_coloring(g, &st.coloring, delta as u32)
-                    .iter()
-                    .map(ToString::to_string)
-                    .collect();
-            let bundle = ReproBundle {
-                version: BUNDLE_VERSION,
-                pipeline: PipelineKind::Randomized,
-                graph: g.clone(),
-                rand_config: Some(*config),
-                det_config: None,
-                faults: faults.cloned(),
-                chaos: sup.chaos.clone(),
-                degrade: sup.degrade,
-                cursor: last_done.map(|c| c.slug().to_string()),
-                error: e.to_string(),
-                violations: violations.clone(),
-                degraded: st.degraded.clone(),
-                flight: sup.flight_tail(),
-                shard_config: None,
-            };
-            let path = match &sup.bundle_dir {
-                Some(dir) => Some(save_bundle(dir, &bundle)?),
-                None => None,
-            };
-            Ok(RunOutcome::Failed(FailureReport {
-                error: e.to_string(),
-                violations,
-                cursor: last_done,
-                bundle: path,
-                degraded: st.degraded,
-            }))
-        }
-        Err(e) => Err(e),
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_randomized_phases(
-    g: &Graph,
-    config: &RandConfig,
-    faults: Option<&FaultPlan>,
-    probe: &Probe,
-    sup: &Supervisor,
-    st: &mut RandRunState,
-    resume_cursor: Option<PhaseCursor>,
-    last_done: &mut Option<PhaseCursor>,
-) -> Result<Option<(PhaseCursor, PathBuf)>, DeltaColoringError> {
-    use PhaseCursor as Pc;
-    let delta = g.max_degree();
-    let replay = |c: Pc| resume_cursor.is_some_and(|rc| c.ordinal() <= rc.ordinal());
-    macro_rules! boundary {
-        ($cursor:expr) => {{
-            *last_done = Some($cursor);
-            if let Some(stop) = rand_boundary($cursor, g, config, faults, probe, sup, st)? {
-                return Ok(Some(stop));
-            }
-        }};
-    }
-
-    // ACD + classification: pure functions of (g, config), recomputed on
-    // every resume — silently (scratch ledger, disabled probe) when the
-    // snapshot already accounts for them.
-    let acd = if replay(Pc::Acd) {
-        det_phase_acd(g, &config.base, &mut RoundLedger::new())?
-    } else {
-        let acd = det_phase_acd(g, &config.base, &mut st.ledger)?;
-        boundary!(Pc::Acd);
-        acd
-    };
-    let (loopholes, cls) = if replay(Pc::Classification) {
-        det_phase_classification(g, &acd, &mut RoundLedger::new())?
-    } else {
-        let out = det_phase_classification(g, &acd, &mut st.ledger)?;
-        boundary!(Pc::Classification);
-        out
-    };
-
-    // Pre-shattering consumes the run's randomness; it is never replayed —
-    // its outputs (pair colors, slack vertices, rings) live in the
-    // snapshot.
-    if !replay(Pc::PreShattering) {
-        let (slack, ring) = rand_phase_preshatter(
-            g,
-            config,
-            &acd,
-            &cls,
-            &mut st.coloring,
-            &mut st.ledger,
-            &mut st.shatter,
-        );
-        st.slack_vertices = slack;
-        st.ring = ring;
-        boundary!(Pc::PreShattering);
-    }
-
-    if !replay(Pc::PostShattering) {
-        rand_phase_postshatter(
-            g,
-            config,
-            &acd,
-            &cls,
-            faults,
-            sup,
-            &st.ring,
-            &mut st.coloring,
-            &mut st.ledger,
-            &mut st.shatter,
-            &mut st.recovery,
-            &mut st.degraded,
-        )?;
-        boundary!(Pc::PostShattering);
-    }
-
-    if !replay(Pc::PostProcessing) {
-        rand_phase_postprocess(
-            g,
-            config,
-            &st.slack_vertices,
-            &st.ring,
-            &mut st.coloring,
-            &mut st.ledger,
-        )?;
-        boundary!(Pc::PostProcessing);
-    }
-
-    // The easy sweep is the final step of every run: always live.
-    rand_phase_easy(g, config, &loopholes, &mut st.coloring, &mut st.ledger)?;
-
-    st.coloring
-        .check_complete(g, delta as u32)
-        .map_err(|e| DeltaColoringError::InvariantViolated(format!("final coloring: {e}")))?;
-    Ok(None)
-}
-
-fn rand_boundary(
-    cursor: PhaseCursor,
-    g: &Graph,
-    config: &RandConfig,
-    faults: Option<&FaultPlan>,
-    probe: &Probe,
-    sup: &Supervisor,
-    st: &RandRunState,
-) -> Result<Option<(PhaseCursor, PathBuf)>, DeltaColoringError> {
-    let Some(dir) = &sup.checkpoint_dir else {
-        return Ok(None);
-    };
-    let snap = Snapshot {
-        version: SNAPSHOT_VERSION,
-        pipeline: PipelineKind::Randomized,
-        graph_digest: graph_digest(g),
-        n: g.n(),
-        m: g.m(),
-        cursor,
-        coloring: st.coloring.clone(),
-        ledger: st.ledger.clone(),
-        faults: faults.cloned(),
-        rand: Some(RandSnapshot {
-            config: *config,
-            shatter: st.shatter.clone(),
-            recovery: st.recovery,
-            slack_vertices: st.slack_vertices.clone(),
-            ring: st.ring.clone(),
-            degraded: st.degraded.clone(),
-        }),
-        det: None,
-    };
-    let write_start = Instant::now();
-    let path = save_snapshot(dir, &snap)?;
-    record_checkpoint_metrics(probe, write_start);
-    probe.emit_with(|| Event::Checkpoint {
-        cursor: cursor.slug().to_string(),
-        rounds: st.ledger.total(),
-    });
-    // Phase boundaries are the durability points of a supervised run: a
-    // kill after this line must find the trace as complete as the
-    // snapshot.
-    probe.flush();
-    if sup.stop_after == Some(cursor) {
-        return Ok(Some((cursor, path)));
-    }
-    Ok(None)
-}
-
-/// Records one checkpoint write into the probe's metrics hub.
-fn record_checkpoint_metrics(probe: &Probe, write_start: Instant) {
-    if let Some(hub) = probe.metrics() {
-        hub.counter("supervisor.checkpoints").incr();
-        hub.histogram("supervisor.checkpoint_write_ns")
-            .observe(u64::try_from(write_start.elapsed().as_nanos()).unwrap_or(u64::MAX));
-    }
-}
-
-/// Records a snapshot restore (validation + state reattachment) into the
-/// probe's metrics hub. No-op for fresh (non-resumed) runs.
-fn record_resume_metrics(probe: &Probe, resumed: bool, restore_start: Instant) {
-    if !resumed {
-        return;
-    }
-    if let Some(hub) = probe.metrics() {
-        hub.counter("supervisor.resumes").incr();
-        hub.histogram("supervisor.resume_restore_ns")
-            .observe(u64::try_from(restore_start.elapsed().as_nanos()).unwrap_or(u64::MAX));
-    }
-}
-
-// ---------------------------------------------------------------------
-// Deterministic driver.
-// ---------------------------------------------------------------------
-
-struct DetRunState {
-    coloring: Coloring,
-    ledger: RoundLedger,
-    stats: PipelineStats,
+    drive(g, fresh, faults, probe, sup, resume)
 }
 
 /// Runs the deterministic pipeline under `sup`, optionally resuming from
@@ -979,9 +983,10 @@ struct DetRunState {
 /// # Errors
 ///
 /// As [`crate::color_deterministic`], plus
-/// [`DeltaColoringError::Supervisor`] for checkpoint I/O and
-/// snapshot-validation failures. When [`Supervisor::captures_failures`]
-/// is set, run errors surface as [`RunOutcome::Failed`] instead.
+/// [`DeltaColoringError::Supervisor`] for checkpoint I/O,
+/// snapshot-validation failures, and a `stop_after` phase the pipeline
+/// never passes. When [`Supervisor::captures_failures`] is set, run
+/// errors surface as [`RunOutcome::Failed`] instead.
 pub fn drive_deterministic(
     g: &Graph,
     config: &Config,
@@ -989,245 +994,185 @@ pub fn drive_deterministic(
     sup: &Supervisor,
     resume: Option<Snapshot>,
 ) -> Result<RunOutcome<Report>, DeltaColoringError> {
-    sup.validate()?;
-    let delta = g.max_degree();
-    if delta < 4 {
-        return Err(DeltaColoringError::UnsupportedStructure(format!(
-            "maximum degree {delta} is below the supported minimum of 4"
-        )));
-    }
-
-    let mut resume_cursor = None;
-    let restore_start = Instant::now();
-    let mut st = match resume {
-        Some(snap) => {
-            check_snapshot(&snap, g, PipelineKind::Deterministic)?;
-            let ds = snap.det.ok_or_else(|| {
-                DeltaColoringError::Supervisor(
-                    "deterministic snapshot is missing its pipeline state".to_string(),
-                )
-            })?;
-            if ds.config != *config {
-                return Err(DeltaColoringError::Supervisor(
-                    "snapshot configuration differs from the resume configuration; \
-                     resume with the snapshot's own config"
-                        .to_string(),
-                ));
-            }
-            resume_cursor = Some(snap.cursor);
-            let mut ledger = snap.ledger;
-            ledger.set_probe(probe.clone());
-            DetRunState {
-                coloring: snap.coloring,
-                ledger,
-                stats: ds.stats,
-            }
-        }
-        None => DetRunState {
-            coloring: Coloring::empty(g.n()),
-            ledger: RoundLedger::with_probe(probe.clone()),
-            stats: PipelineStats::default(),
-        },
+    let fresh = DetSnapshot {
+        config: *config,
+        stats: PipelineStats::default(),
     };
-    record_resume_metrics(probe, resume_cursor.is_some(), restore_start);
-
-    let mut last_done = resume_cursor;
-    let flow = run_deterministic_phases(
-        g,
-        config,
-        probe,
-        sup,
-        &mut st,
-        resume_cursor,
-        &mut last_done,
-    );
-    match flow {
-        Ok(Some((cursor, snapshot))) => Ok(RunOutcome::Suspended { cursor, snapshot }),
-        Ok(None) => Ok(RunOutcome::Complete {
-            report: Report {
-                coloring: st.coloring,
-                ledger: st.ledger,
-                stats: st.stats,
-            },
-            degraded: Vec::new(),
-        }),
-        Err(e) if sup.captures_failures() => {
-            probe.flush();
-            let violations: Vec<String> =
-                crate::validate::check_coloring(g, &st.coloring, delta as u32)
-                    .iter()
-                    .map(ToString::to_string)
-                    .collect();
-            let bundle = ReproBundle {
-                version: BUNDLE_VERSION,
-                pipeline: PipelineKind::Deterministic,
-                graph: g.clone(),
-                rand_config: None,
-                det_config: Some(*config),
-                faults: None,
-                chaos: sup.chaos.clone(),
-                degrade: sup.degrade,
-                cursor: last_done.map(|c| c.slug().to_string()),
-                error: e.to_string(),
-                violations: violations.clone(),
-                degraded: Vec::new(),
-                flight: sup.flight_tail(),
-                shard_config: None,
-            };
-            let path = match &sup.bundle_dir {
-                Some(dir) => Some(save_bundle(dir, &bundle)?),
-                None => None,
-            };
-            Ok(RunOutcome::Failed(FailureReport {
-                error: e.to_string(),
-                violations,
-                cursor: last_done,
-                bundle: path,
-                degraded: Vec::new(),
-            }))
-        }
-        Err(e) => Err(e),
-    }
+    drive(g, fresh, None, probe, sup, resume)
 }
 
-fn run_deterministic_phases(
-    g: &Graph,
-    config: &Config,
-    probe: &Probe,
-    sup: &Supervisor,
-    st: &mut DetRunState,
-    resume_cursor: Option<PhaseCursor>,
-    last_done: &mut Option<PhaseCursor>,
-) -> Result<Option<(PhaseCursor, PathBuf)>, DeltaColoringError> {
-    use PhaseCursor as Pc;
-    let delta = g.max_degree();
-    let replay = |c: Pc| resume_cursor.is_some_and(|rc| c.ordinal() <= rc.ordinal());
-    macro_rules! boundary {
-        ($cursor:expr) => {{
-            *last_done = Some($cursor);
-            if let Some(stop) = det_boundary($cursor, g, config, probe, sup, st)? {
-                return Ok(Some(stop));
-            }
-        }};
+impl Pipeline for RandSnapshot {
+    type Report = RandReport;
+    const KIND: PipelineKind = PipelineKind::Randomized;
+
+    /// The large-Δ branch passes no boundaries.
+    fn passes(&self, g: &Graph, cursor: PhaseCursor) -> bool {
+        use PhaseCursor as Pc;
+        let large = self
+            .config
+            .large_delta_threshold
+            .is_some_and(|th| g.max_degree() >= th);
+        !large && !matches!(cursor, Pc::Phase1 | Pc::Phase2 | Pc::Phase3 | Pc::Phase4)
     }
 
-    let acd = if replay(Pc::Acd) {
-        det_phase_acd(g, config, &mut RoundLedger::new())?
-    } else {
-        let acd = det_phase_acd(g, config, &mut st.ledger)?;
-        boundary!(Pc::Acd);
-        acd
-    };
-    let (loopholes, cls) = if replay(Pc::Classification) {
-        det_phase_classification(g, &acd, &mut RoundLedger::new())?
-    } else {
-        let out = det_phase_classification(g, &acd, &mut st.ledger)?;
-        st.stats = PipelineStats {
-            cliques: acd.cliques.len(),
-            hard: out.1.hard_count(),
-            heg: out.1.heg_ids.len(),
-            loophole_vertices: out.0.count(),
-            ..PipelineStats::default()
-        };
-        boundary!(Pc::Classification);
-        out
-    };
+    fn same_config(&self, other: &Self) -> bool {
+        self.config == other.config
+    }
 
-    if !cls.hard_ids.is_empty() {
-        let f2 = if replay(Pc::Phase1) {
-            det_phase1(g, &acd, &cls, config, false, &mut RoundLedger::new())?
-        } else {
-            let f2 = det_phase1(g, &acd, &cls, config, false, &mut st.ledger)?;
-            st.stats.phase1 = f2.stats.clone();
-            boundary!(Pc::Phase1);
-            f2
-        };
-        let f3 = if replay(Pc::Phase2) {
-            det_phase2(g, &acd, &cls, &f2, config, &mut RoundLedger::new())?
-        } else {
-            let f3 = det_phase2(g, &acd, &cls, &f2, config, &mut st.ledger)?;
-            st.stats.max_incoming = f3.incoming.iter().copied().max().unwrap_or(0);
-            st.stats.incoming_bound = f3.incoming_bound;
-            boundary!(Pc::Phase2);
-            f3
-        };
-        let triads = if replay(Pc::Phase3) {
-            det_phase3(g, &acd, &f3, &mut RoundLedger::new())?
-        } else {
-            let triads = det_phase3(g, &acd, &f3, &mut st.ledger)?;
-            boundary!(Pc::Phase3);
-            triads
-        };
-        if !replay(Pc::Phase4) {
-            let pair_palette: Vec<Color> = (0..delta as u32).map(Color).collect();
-            st.stats.phase4 = det_phase4(
-                g,
+    fn slot(snap: &mut Snapshot) -> &mut Option<Self> {
+        &mut snap.rand
+    }
+
+    fn describe(&self, bundle: &mut ReproBundle) {
+        bundle.rand_config = Some(self.config);
+        bundle.degraded.clone_from(&self.degraded);
+    }
+
+    fn run_phases(&mut self, run: &mut Run<'_>) -> Result<(), Halt> {
+        use PhaseCursor as Pc;
+        let config = self.config;
+        // Only the large-Δ branch skips even the ACD boundary.
+        if !self.passes(run.g, Pc::Acd) {
+            return Ok(color_large_delta(
+                run.g,
+                &config,
+                &mut run.coloring,
+                &mut run.ledger,
+                &mut self.shatter,
+            )?);
+        }
+        let (acd, loopholes, cls) = run.classify(&config.base, self)?;
+        // Pre-shattering consumes the run's randomness; it is never
+        // replayed — its outputs (pair colors, slack vertices, rings) live
+        // in the snapshot.
+        if !run.replays(Pc::PreShattering) {
+            rand_phase_preshatter(run.g, &acd, &cls, &mut run.coloring, &mut run.ledger, self)?;
+            run.boundary(Pc::PreShattering, self)?;
+        }
+        if !run.replays(Pc::PostShattering) {
+            rand_phase_postshatter(
+                run.g,
                 &acd,
                 &cls,
-                &triads,
-                &pair_palette,
-                &mut st.coloring,
-                config,
-                &mut st.ledger,
+                run.faults,
+                run.sup,
+                &mut run.coloring,
+                &mut run.ledger,
+                self,
             )?;
-            boundary!(Pc::Phase4);
+            run.boundary(Pc::PostShattering, self)?;
+        }
+        if !run.replays(Pc::PostProcessing) {
+            rand_phase_postprocess(run.g, self, &mut run.coloring, &mut run.ledger)?;
+            run.boundary(Pc::PostProcessing, self)?;
+        }
+        // The easy sweep is the final step of every run: always live.
+        let style = RulingStyle::Randomized(config.seed ^ 0xE457_0000);
+        phase_easy(
+            run.g,
+            &config.base,
+            style,
+            &loopholes,
+            &mut run.coloring,
+            &mut run.ledger,
+        )?;
+        Ok(())
+    }
+
+    fn report(self, coloring: Coloring, ledger: RoundLedger) -> RunOutcome<RandReport> {
+        RunOutcome::Complete {
+            report: RandReport {
+                coloring,
+                ledger,
+                shatter: self.shatter,
+                recovery: self.recovery,
+            },
+            degraded: self.degraded,
         }
     }
-
-    det_phase_easy(
-        g,
-        config,
-        &loopholes,
-        &mut st.coloring,
-        &mut st.ledger,
-        &mut st.stats,
-    )?;
-
-    st.coloring
-        .check_complete(g, delta as u32)
-        .map_err(|e| DeltaColoringError::InvariantViolated(format!("final coloring: {e}")))?;
-    Ok(None)
 }
 
-fn det_boundary(
-    cursor: PhaseCursor,
-    g: &Graph,
-    config: &Config,
-    probe: &Probe,
-    sup: &Supervisor,
-    st: &DetRunState,
-) -> Result<Option<(PhaseCursor, PathBuf)>, DeltaColoringError> {
-    let Some(dir) = &sup.checkpoint_dir else {
-        return Ok(None);
-    };
-    let snap = Snapshot {
-        version: SNAPSHOT_VERSION,
-        pipeline: PipelineKind::Deterministic,
-        graph_digest: graph_digest(g),
-        n: g.n(),
-        m: g.m(),
-        cursor,
-        coloring: st.coloring.clone(),
-        ledger: st.ledger.clone(),
-        faults: None,
-        rand: None,
-        det: Some(DetSnapshot {
-            config: *config,
-            stats: st.stats.clone(),
-        }),
-    };
-    let write_start = Instant::now();
-    let path = save_snapshot(dir, &snap)?;
-    record_checkpoint_metrics(probe, write_start);
-    probe.emit_with(|| Event::Checkpoint {
-        cursor: cursor.slug().to_string(),
-        rounds: st.ledger.total(),
-    });
-    probe.flush();
-    if sup.stop_after == Some(cursor) {
-        return Ok(Some((cursor, path)));
+impl Pipeline for DetSnapshot {
+    type Report = Report;
+    const KIND: PipelineKind = PipelineKind::Deterministic;
+
+    /// Every boundary up to phase 4; a run without hard cliques skips
+    /// the phase 1–4 boundaries at run time.
+    fn passes(&self, _: &Graph, cursor: PhaseCursor) -> bool {
+        cursor.ordinal() <= PhaseCursor::Phase4.ordinal()
     }
-    Ok(None)
+
+    fn same_config(&self, other: &Self) -> bool {
+        self.config == other.config
+    }
+
+    fn slot(snap: &mut Snapshot) -> &mut Option<Self> {
+        &mut snap.det
+    }
+
+    fn describe(&self, bundle: &mut ReproBundle) {
+        bundle.det_config = Some(self.config);
+    }
+
+    fn classified(&mut self, acd: &AcdResult, loopholes: &LoopholeReport, cls: &Classification) {
+        self.stats.cliques = acd.cliques.len();
+        self.stats.hard = cls.hard_count();
+        self.stats.heg = cls.heg_ids.len();
+        self.stats.loophole_vertices = loopholes.count();
+    }
+
+    fn run_phases(&mut self, run: &mut Run<'_>) -> Result<(), Halt> {
+        use PhaseCursor as Pc;
+        let (g, config) = (run.g, self.config);
+        let (acd, loopholes, cls) = run.classify(&config, self)?;
+        if !cls.hard_ids.is_empty() {
+            // Stats derived from replayed phases are recomputed to the
+            // values the snapshot already holds.
+            let f2 = det_phase1(g, &acd, &cls, &config, false, run.ledger_for(Pc::Phase1))?;
+            self.stats.phase1 = f2.stats.clone();
+            run.boundary(Pc::Phase1, self)?;
+            let f3 = det_phase2(g, &acd, &cls, &f2, &config, run.ledger_for(Pc::Phase2))?;
+            self.stats.max_incoming = f3.incoming.iter().copied().max().unwrap_or(0);
+            self.stats.incoming_bound = f3.incoming_bound;
+            run.boundary(Pc::Phase2, self)?;
+            let triads = det_phase3(g, &acd, &f3, run.ledger_for(Pc::Phase3))?;
+            run.boundary(Pc::Phase3, self)?;
+            if !run.replays(Pc::Phase4) {
+                let pair_palette: Vec<Color> = (0..g.max_degree() as u32).map(Color).collect();
+                self.stats.phase4 = det_phase4(
+                    g,
+                    &acd,
+                    &cls,
+                    &triads,
+                    &pair_palette,
+                    &mut run.coloring,
+                    &config,
+                    &mut run.ledger,
+                )?;
+                run.boundary(Pc::Phase4, self)?;
+            }
+        }
+        self.stats.easy = phase_easy(
+            g,
+            &config,
+            RulingStyle::Deterministic,
+            &loopholes,
+            &mut run.coloring,
+            &mut run.ledger,
+        )?;
+        Ok(())
+    }
+
+    fn report(self, coloring: Coloring, ledger: RoundLedger) -> RunOutcome<Report> {
+        RunOutcome::Complete {
+            report: Report {
+                coloring,
+                ledger,
+                stats: self.stats,
+            },
+            degraded: Vec::new(),
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -1250,35 +1195,21 @@ pub fn replay_bundle(path: &Path, probe: &Probe) -> Result<ReplayReport, DeltaCo
         chaos: bundle.chaos.clone(),
         ..Supervisor::passive()
     };
+    let missing = || {
+        DeltaColoringError::Supervisor(format!(
+            "{:?} bundle is missing its configuration",
+            bundle.pipeline
+        ))
+    };
     let (observed_error, observed_violations) = match bundle.pipeline {
         PipelineKind::Randomized => {
-            let config = bundle.rand_config.ok_or_else(|| {
-                DeltaColoringError::Supervisor(
-                    "randomized bundle is missing its configuration".to_string(),
-                )
-            })?;
-            match drive_randomized(
-                &bundle.graph,
-                &config,
-                bundle.faults.as_ref(),
-                probe,
-                &sup,
-                None,
-            )? {
-                RunOutcome::Failed(f) => (Some(f.error), f.violations),
-                _ => (None, Vec::new()),
-            }
+            let config = bundle.rand_config.ok_or_else(missing)?;
+            let faults = bundle.faults.as_ref();
+            drive_randomized(&bundle.graph, &config, faults, probe, &sup, None)?.failure()
         }
         PipelineKind::Deterministic => {
-            let config = bundle.det_config.ok_or_else(|| {
-                DeltaColoringError::Supervisor(
-                    "deterministic bundle is missing its configuration".to_string(),
-                )
-            })?;
-            match drive_deterministic(&bundle.graph, &config, probe, &sup, None)? {
-                RunOutcome::Failed(f) => (Some(f.error), f.violations),
-                _ => (None, Vec::new()),
-            }
+            let config = bundle.det_config.ok_or_else(missing)?;
+            drive_deterministic(&bundle.graph, &config, probe, &sup, None)?.failure()
         }
         PipelineKind::Shard => {
             let spec = bundle.shard_config.as_ref().ok_or_else(|| {

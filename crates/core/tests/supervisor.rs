@@ -532,3 +532,232 @@ fn regenerate_golden_bundle() {
     let written = failure.bundle.unwrap();
     std::fs::rename(&written, golden_bundle_path()).unwrap();
 }
+
+/// Suspends `g` at the classification boundary of both pipelines and
+/// returns the two snapshots (deterministic, randomized).
+fn classification_snapshots(
+    g: &Graph,
+    det: &Config,
+    rand: &RandConfig,
+    faults: Option<&FaultPlan>,
+    tag: &str,
+) -> (delta_core::Snapshot, delta_core::Snapshot, [TempDir; 2]) {
+    let det_dir = TempDir::new(&format!("{tag}-det"));
+    let rand_dir = TempDir::new(&format!("{tag}-rand"));
+    let stop = |dir: &TempDir| Supervisor {
+        stop_after: Some(PhaseCursor::Classification),
+        ..checkpointing(dir)
+    };
+    let (outcome, _) = supervised_det(g, det, &stop(&det_dir), None);
+    let RunOutcome::Suspended { snapshot, .. } = outcome else {
+        panic!("{tag}: deterministic run must suspend");
+    };
+    let det_snap = load_snapshot(&snapshot).unwrap();
+    let (outcome, _) = supervised_rand(g, rand, faults, &stop(&rand_dir), None);
+    let RunOutcome::Suspended { snapshot, .. } = outcome else {
+        panic!("{tag}: randomized run must suspend");
+    };
+    let rand_snap = load_snapshot(&snapshot).unwrap();
+    (det_snap, rand_snap, [det_dir, rand_dir])
+}
+
+/// Every snapshot a driver cannot continue is refused with a supervisor
+/// error naming the cause — on both drivers.
+#[test]
+fn resume_rejection_matrix_covers_both_drivers() {
+    let inst = circulant(40, 502);
+    let det = Config::for_delta(16);
+    let rand = shattering_config(1, 1);
+    let plan = FaultPlan {
+        seed: 0xFA17,
+        message_drop_p: 0.01,
+        ..FaultPlan::default()
+    };
+    let (det_snap, rand_snap, _dirs) =
+        classification_snapshots(&inst.graph, &det, &rand, Some(&plan), "reject");
+
+    let resume_det = |config: &Config, snap: &delta_core::Snapshot| {
+        drive_deterministic(
+            &inst.graph,
+            config,
+            &Probe::disabled(),
+            &Supervisor::passive(),
+            Some(snap.clone()),
+        )
+        .map(|_| ())
+    };
+    let resume_rand =
+        |config: &RandConfig, faults: Option<&FaultPlan>, snap: &delta_core::Snapshot| {
+            drive_randomized(
+                &inst.graph,
+                config,
+                faults,
+                &Probe::disabled(),
+                &Supervisor::passive(),
+                Some(snap.clone()),
+            )
+            .map(|_| ())
+        };
+
+    let mut other_det = det;
+    other_det.subcliques += 1;
+    let mut other_rand = rand;
+    other_rand.seed += 1;
+    let other_plan = FaultPlan {
+        message_drop_p: 0.02,
+        ..plan.clone()
+    };
+    let mut det_cleared = det_snap.clone();
+    det_cleared.det = None;
+    let mut rand_cleared = rand_snap.clone();
+    rand_cleared.rand = None;
+
+    let cases = [
+        (
+            "det <- rand snapshot",
+            resume_det(&det, &rand_snap),
+            "pipeline",
+        ),
+        (
+            "rand <- det snapshot",
+            resume_rand(&rand, Some(&plan), &det_snap),
+            "pipeline",
+        ),
+        (
+            "det config",
+            resume_det(&other_det, &det_snap),
+            "configuration",
+        ),
+        (
+            "rand config",
+            resume_rand(&other_rand, Some(&plan), &rand_snap),
+            "configuration",
+        ),
+        (
+            "rand fault plan",
+            resume_rand(&rand, Some(&other_plan), &rand_snap),
+            "fault plan",
+        ),
+        (
+            "rand without fault plan",
+            resume_rand(&rand, None, &rand_snap),
+            "fault plan",
+        ),
+        (
+            "det state cleared",
+            resume_det(&det, &det_cleared),
+            "missing its pipeline state",
+        ),
+        (
+            "rand state cleared",
+            resume_rand(&rand, Some(&plan), &rand_cleared),
+            "missing its pipeline state",
+        ),
+    ];
+    for (case, result, cause) in cases {
+        match result {
+            Err(delta_core::DeltaColoringError::Supervisor(msg)) => assert!(
+                msg.contains(cause),
+                "{case}: error must name `{cause}`, got: {msg}"
+            ),
+            other => panic!("{case}: expected a supervisor error, got {other:?}"),
+        }
+    }
+    // The untouched snapshots still resume: the matrix rejects causes,
+    // not snapshots.
+    resume_det(&det, &det_snap).unwrap();
+    resume_rand(&rand, Some(&plan), &rand_snap).unwrap();
+}
+
+/// A deterministic run error is captured like a randomized one: the
+/// driver returns `Failed` with a bundle, and the bundle replays.
+#[test]
+fn deterministic_failure_captures_a_bundle_and_replay_reproduces_it() {
+    let g = generators::complete(9);
+    let dir = TempDir::new("det-bundle");
+    let sup = Supervisor {
+        bundle_dir: Some(dir.path().to_path_buf()),
+        ..Supervisor::passive()
+    };
+    let (outcome, _) = supervised_det(&g, &Config::for_delta(8), &sup, None);
+    let RunOutcome::Failed(failure) = outcome else {
+        panic!("K9 has no 8-coloring; the run must fail");
+    };
+    let bundle = failure
+        .bundle
+        .expect("bundle_dir was set, bundle must save");
+    let replay = replay_bundle(&bundle, &Probe::disabled()).unwrap();
+    assert!(replay.reproduced, "replaying the bundle must reproduce");
+    assert_eq!(replay.recorded_error, failure.error);
+    assert_eq!(replay.observed_violations, failure.violations);
+}
+
+/// `stop_after` must name a boundary the run passes. Each driver rejects
+/// the other pipeline's phases up front, and so does the large-Δ branch,
+/// which passes none; the error lists the boundaries the run does pass.
+#[test]
+fn stop_after_a_phase_the_run_never_passes_is_rejected() {
+    let inst = circulant(40, 502);
+    let dir = TempDir::new("stop-never");
+    let stop_at = |cursor| Supervisor {
+        stop_after: Some(cursor),
+        ..checkpointing(&dir)
+    };
+    let probe = Probe::disabled();
+    let rand = shattering_config(1, 1);
+    let mut large = rand;
+    large.large_delta_threshold = Some(4);
+    let cases = [
+        (
+            "det at a randomized phase",
+            drive_deterministic(
+                &inst.graph,
+                &Config::for_delta(16),
+                &probe,
+                &stop_at(PhaseCursor::PreShattering),
+                None,
+            )
+            .map(|_| ()),
+            "acd, classification, phase1, phase2, phase3, phase4",
+        ),
+        (
+            "rand at a deterministic phase",
+            drive_randomized(
+                &inst.graph,
+                &rand,
+                None,
+                &probe,
+                &stop_at(PhaseCursor::Phase2),
+                None,
+            )
+            .map(|_| ()),
+            "acd, classification, pre-shattering, post-shattering, post-processing",
+        ),
+        (
+            "large-Δ branch",
+            drive_randomized(
+                &inst.graph,
+                &large,
+                None,
+                &probe,
+                &stop_at(PhaseCursor::Acd),
+                None,
+            )
+            .map(|_| ()),
+            "none",
+        ),
+    ];
+    for (case, result, listed) in cases {
+        match result {
+            Err(delta_core::DeltaColoringError::Supervisor(msg)) => assert!(
+                msg.contains("not a boundary") && msg.ends_with(listed),
+                "{case}: error must list the run's boundaries `{listed}`, got: {msg}"
+            ),
+            other => panic!("{case}: expected a supervisor error, got {other:?}"),
+        }
+    }
+    assert!(
+        std::fs::read_dir(dir.path()).unwrap().next().is_none(),
+        "a rejected stop-after must fail before the first checkpoint"
+    );
+}

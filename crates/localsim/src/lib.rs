@@ -1,6 +1,6 @@
 //! A synchronous simulator for the LOCAL model of distributed computing.
 //!
-//! In the LOCAL model ([Lin92]) a communication network is an `n`-node
+//! In the LOCAL model (\[Lin92\]) a communication network is an `n`-node
 //! graph; computation proceeds in synchronous rounds in which every node
 //! exchanges *unbounded* messages with its neighbors and performs unbounded
 //! local computation. The complexity measure is the number of rounds until

@@ -54,8 +54,8 @@ use std::time::{Duration, Instant};
 use delta_coloring::coloring::{
     color_sparse_dense_probed, drive_deterministic, drive_randomized, load_bundle, load_snapshot,
     replay_bundle, run_shard_case, run_wire_coloring, save_bundle, shard_bundle, validate_coloring,
-    ChaosPlan, Config, DegradedComponent, DistributedConfig, FailureReport, PhaseCursor,
-    PipelineKind, RandConfig, RunOutcome, ShardRunSpec, Supervisor,
+    Config, DegradedComponent, DistributedConfig, FailureReport, PhaseCursor, PipelineKind,
+    RandConfig, RunOutcome, ShardRunSpec, Supervisor,
 };
 use delta_coloring::graphs::coloring::verify_delta_coloring;
 use delta_coloring::graphs::generators::{gnp, hard_cliques, HardCliqueParams};
@@ -110,54 +110,51 @@ fn parse_chaos_kills(spec: &str) -> Result<Vec<ChaosKill>, String> {
         .collect()
 }
 
-/// Builds the [`Supervisor`] from CLI flags; `None` when no supervisor
-/// flag was given (the run then takes the plain, unsupervised path).
-fn supervisor_from_args(args: &[String]) -> Result<Option<Supervisor>, String> {
+/// Builds the [`Supervisor`] from CLI flags (passive when none is given).
+fn supervisor_from_args(args: &[String]) -> Result<Supervisor, String> {
     let mut sup = Supervisor::passive();
-    let mut any = false;
-    if let Some(dir) = arg_value(args, "--checkpoint-dir") {
-        sup.checkpoint_dir = Some(PathBuf::from(dir));
-        any = true;
-    }
-    if let Some(dir) = arg_value(args, "--bundle-dir") {
-        sup.bundle_dir = Some(PathBuf::from(dir));
-        any = true;
-    }
+    sup.checkpoint_dir = arg_value(args, "--checkpoint-dir").map(PathBuf::from);
+    sup.bundle_dir = arg_value(args, "--bundle-dir").map(PathBuf::from);
     if let Some(phase) = arg_value(args, "--stop-after") {
         sup.stop_after = Some(phase.parse::<PhaseCursor>()?);
-        any = true;
     }
     if let Some(n) = arg_value(args, "--component-round-budget") {
         sup.component_round_budget = Some(
             n.parse()
                 .map_err(|e| format!("invalid --component-round-budget value `{n}`: {e}"))?,
         );
-        any = true;
     }
     if let Some(n) = arg_value(args, "--component-wall-budget-ms") {
         sup.component_wall_budget_ms = Some(
             n.parse()
                 .map_err(|e| format!("invalid --component-wall-budget-ms value `{n}`: {e}"))?,
         );
-        any = true;
     }
-    if args.iter().any(|a| a == "--degrade") {
-        sup.degrade = true;
-        any = true;
-    }
-    let mut chaos = ChaosPlan::default();
+    sup.degrade = args.iter().any(|a| a == "--degrade");
     if let Some(spec) = arg_value(args, "--chaos-panic") {
-        chaos.panic_components = parse_index_list("--chaos-panic", &spec)?;
+        sup.chaos.panic_components = parse_index_list("--chaos-panic", &spec)?;
     }
     if let Some(spec) = arg_value(args, "--chaos-skip") {
-        chaos.skip_components = parse_index_list("--chaos-skip", &spec)?;
+        sup.chaos.skip_components = parse_index_list("--chaos-skip", &spec)?;
     }
-    if !chaos.is_empty() {
-        sup.chaos = chaos;
-        any = true;
-    }
-    Ok(any.then_some(sup))
+    Ok(sup)
 }
+
+/// Flags `color --general` cannot honor: the sparse+dense extension is
+/// neither the randomized pipeline nor supervised.
+const GENERAL_CONFLICTS: [&str; 11] = [
+    "--randomized",
+    "--faults",
+    "--resume",
+    "--checkpoint-dir",
+    "--stop-after",
+    "--bundle-dir",
+    "--degrade",
+    "--component-round-budget",
+    "--component-wall-budget-ms",
+    "--chaos-panic",
+    "--chaos-skip",
+];
 
 fn run() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -189,6 +186,18 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
                  [--bundle-dir DIR] [--degrade] [--component-round-budget N] \
                  [--component-wall-budget-ms N] [--chaos-panic I,J] [--chaos-skip I,J]",
             )?;
+            if arg_value(&args, "--general").is_some() {
+                if let Some(flag) = GENERAL_CONFLICTS
+                    .iter()
+                    .find(|&&f| args.iter().any(|a| a == f))
+                {
+                    return Err(format!(
+                        "{flag} cannot be combined with --general: the sparse+dense \
+                         extension runs neither the randomized pipeline nor a supervisor"
+                    )
+                    .into());
+                }
+            }
             if let Some(k) = arg_value(&args, "--threads") {
                 let k: usize = k
                     .parse()
@@ -246,7 +255,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
                         .map_err(|e| format!("invalid --faults spec `{spec}`: {e}"))
                 })
                 .transpose()?;
-            let mut sup = supervisor_from_args(&args)?.unwrap_or_default();
+            let mut sup = supervisor_from_args(&args)?;
             if let Some(f) = &flight {
                 sup.flight = Some(f.clone());
             }

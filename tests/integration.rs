@@ -220,3 +220,72 @@ fn paper_scale_stress() {
     .unwrap();
     verify_delta_coloring(&inst.graph, &rand.coloring).unwrap();
 }
+
+/// `color --general` runs the sparse+dense extension, which is neither the
+/// randomized pipeline nor supervised: every flag it would silently drop
+/// or let override it is a named CLI error.
+#[test]
+fn general_rejects_flags_it_cannot_honor() {
+    use std::process::Command;
+    const BIN: &str = env!("CARGO_BIN_EXE_delta-color");
+    let dir = std::env::temp_dir().join(format!("general-cli-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let graph = dir.join("g.txt");
+    let inst = generators::hard_cliques(&hard_params(34, 16, 3)).unwrap();
+    std::fs::write(
+        &graph,
+        delta_coloring::graphs::io::write_edge_list(&inst.graph),
+    )
+    .unwrap();
+    let color = |extra: &[&str]| {
+        Command::new(BIN)
+            .arg("color")
+            .arg(&graph)
+            .args(["--general", "5"])
+            .args(extra)
+            .output()
+            .expect("spawn delta-color")
+    };
+
+    let ok = color(&[]);
+    assert!(
+        ok.status.success(),
+        "plain --general must color: {}",
+        String::from_utf8_lossy(&ok.stderr)
+    );
+    let ckpt = dir.join("ckpt");
+    let ckpt = ckpt.to_str().unwrap();
+    let conflicts: [&[&str]; 11] = [
+        &["--randomized", "7"],
+        &["--faults", "seed=7,drop=0.01"],
+        &["--resume", "snapshot.json"],
+        &["--checkpoint-dir", ckpt],
+        &["--stop-after", "acd"],
+        &["--bundle-dir", ckpt],
+        &["--degrade"],
+        &["--component-round-budget", "10"],
+        &["--component-wall-budget-ms", "10"],
+        &["--chaos-panic", "0"],
+        &["--chaos-skip", "0"],
+    ];
+    for extra in conflicts {
+        let out = color(extra);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "--general {extra:?} must fail");
+        assert!(
+            stderr.contains(extra[0]),
+            "--general {extra:?}: error must name `{}`, got: {stderr}",
+            extra[0]
+        );
+        assert!(
+            out.stdout.is_empty(),
+            "--general {extra:?} printed a coloring"
+        );
+    }
+    assert!(
+        !std::path::Path::new(ckpt).exists(),
+        "a rejected run wrote checkpoints"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
