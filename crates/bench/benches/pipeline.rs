@@ -15,7 +15,7 @@
 //!   leaves real leftover components for the pool). Colorings are checked
 //!   identical across thread counts before timing.
 //!
-//! Usage (a harness-free bench binary):
+//! Usage (a `harness = false` bench binary):
 //!
 //! ```text
 //! cargo bench -p delta-bench --bench pipeline                      # full, table
@@ -28,14 +28,13 @@
 //! `docs/PERFORMANCE.md` for the schema.
 
 use acd::{compute_acd, compute_acd_reference, kernel, AcdParams};
-use criterion::{measure, Measurement};
+use delta_bench::harness::{mean_of, object, Bench, Fields};
 use delta_core::{
     color_deterministic, color_randomized, color_randomized_probed, Config, RandConfig,
 };
 use graphgen::generators::{self, BlueprintKind, HardCliqueParams};
 use graphgen::Graph;
 use localsim::Probe;
-use serde::{json, Value};
 
 fn circulant(cliques: usize, delta: usize, seed: u64) -> Graph {
     generators::hard_cliques_with_blueprint(
@@ -60,44 +59,8 @@ fn shattering_config(seed: u64, threads: usize) -> RandConfig {
     config
 }
 
-struct AcdCase {
-    instance: &'static str,
-    n: usize,
-    kernel: &'static str,
-    m: Measurement,
-}
-
-struct PipelineCase {
-    pipeline: &'static str,
-    instance: &'static str,
-    n: usize,
-    variant: &'static str,
-    m: Measurement,
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let test_mode = args.iter().any(|a| a == "--test");
-    let smoke = test_mode || args.iter().any(|a| a == "--smoke");
-    // `cargo bench` runs with cwd = crates/bench; resolve relative --json
-    // paths against the workspace root so `--json BENCH_pipeline.json`
-    // lands at the repo root regardless of invocation directory.
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-        .map(|p| {
-            let p = std::path::Path::new(p);
-            if p.is_absolute() {
-                p.to_path_buf()
-            } else {
-                std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-                    .join("../..")
-                    .join(p)
-            }
-        });
-
-    let samples = if smoke { 3 } else { 5 };
+    let bench = Bench::from_args();
 
     // --- ACD kernels: blocked bitmaps vs per-edge neighborhood merge. ---
     // Circulant hard-clique instances are the dense regime the kernel
@@ -105,7 +68,7 @@ fn main() {
     // scans Θ(Δ) neighbors under the merge kernel. The Δ = 63 instance
     // runs the paper's own parameter regime (`AcdParams::paper`), where
     // neighborhoods are long enough for the kernel gap to dominate.
-    let acd_instances: Vec<(&'static str, Graph)> = if smoke {
+    let acd_instances: Vec<(&'static str, Graph)> = if bench.smoke() {
         vec![("circulant-d16", circulant(40, 16, 7))]
     } else {
         vec![
@@ -115,7 +78,8 @@ fn main() {
         ]
     };
 
-    let mut acd_cases: Vec<AcdCase> = Vec::new();
+    let mut acd_cases = Vec::new();
+    let mut acd_speedups = Vec::new();
     for (instance, g) in &acd_instances {
         let n = g.n();
         let params = AcdParams::for_delta(g.max_degree());
@@ -125,73 +89,43 @@ fn main() {
             compute_acd_reference(g, &params),
             "blocked kernel diverged from the merge kernel on {instance}/n={n}"
         );
-        let mut push = |kernel: &'static str, m: Measurement| {
-            println!(
-                "acd/{instance}/n={n}/{kernel}: mean {:.3} ms, min {:.3} ms",
-                m.mean_ns / 1e6,
-                m.min_ns / 1e6
-            );
-            acd_cases.push(AcdCase {
-                instance,
-                n,
-                kernel,
-                m,
-            });
-        };
-        // The kernels in isolation: the friend-edge computation the
-        // rewrite targets.
-        push(
-            "kernel-blocked",
-            measure(test_mode, samples, |b| {
-                b.iter(|| kernel::friend_graph(g, &params))
-            }),
-        );
-        push(
-            "kernel-merge",
-            measure(test_mode, samples, |b| {
-                b.iter(|| kernel::friend_graph_reference(g, &params))
-            }),
-        );
-        // The full decomposition (kernel + shared postprocessing).
-        push(
-            "full-blocked",
-            measure(test_mode, samples, |b| b.iter(|| compute_acd(g, &params))),
-        );
-        push(
-            "full-merge",
-            measure(test_mode, samples, |b| {
-                b.iter(|| compute_acd_reference(g, &params))
-            }),
-        );
-    }
-
-    let mut acd_speedups: Vec<(String, usize, f64)> = Vec::new();
-    for (instance, g) in &acd_instances {
+        // The kernels in isolation (the friend-edge computation the
+        // rewrite targets), then the full decomposition (kernel + shared
+        // postprocessing).
+        let timings = [
+            (
+                "kernel-blocked",
+                bench.measure(|| kernel::friend_graph(g, &params)),
+            ),
+            (
+                "kernel-merge",
+                bench.measure(|| kernel::friend_graph_reference(g, &params)),
+            ),
+            ("full-blocked", bench.measure(|| compute_acd(g, &params))),
+            (
+                "full-merge",
+                bench.measure(|| compute_acd_reference(g, &params)),
+            ),
+        ];
+        let cases: Vec<_> = timings
+            .into_iter()
+            .map(|(kernel, m)| {
+                let id: &Fields<'_> = &[("instance", instance), ("n", &n), ("kernel", &kernel)];
+                bench.case("acd", id, m)
+            })
+            .collect();
         for scope in ["kernel", "full"] {
-            let mean_of = |kernel: String| {
-                acd_cases
-                    .iter()
-                    .find(|c| {
-                        c.instance == *instance && c.n == g.n() && c.kernel == kernel.as_str()
-                    })
-                    .map(|c| c.m.mean_ns)
-            };
-            if let (Some(merge), Some(blocked)) = (
-                mean_of(format!("{scope}-merge")),
-                mean_of(format!("{scope}-blocked")),
-            ) {
-                let s = merge / blocked;
-                println!(
-                    "acd/{instance}/n={}/{scope}: merge/blocked speedup {s:.2}x",
-                    g.n()
-                );
-                acd_speedups.push((format!("{instance}/n={}/{scope}", g.n()), g.n(), s));
-            }
+            let mean = |side: &str| mean_of(&cases, &[("kernel", &format!("{scope}-{side}"))]);
+            let s = mean("merge") / mean("blocked");
+            println!("acd/{instance}/n={n}/{scope}: merge/blocked speedup {s:.2}x");
+            let case = format!("{instance}/n={n}/{scope}");
+            acd_speedups.push(object(&[("case", &case), ("n", &n), ("speedup", &s)]));
         }
+        acd_cases.extend(cases);
     }
 
     // --- End-to-end pipelines at several pool widths. ---
-    let pipe_cliques = if smoke { 40 } else { 80 };
+    let pipe_cliques = if bench.smoke() { 40 } else { 80 };
     let g = circulant(pipe_cliques, 16, 11);
     let n = g.n();
     let thread_variants = [("seq", 1usize), ("par2", 2), ("par4", 4)];
@@ -202,9 +136,9 @@ fn main() {
         config.threads = 1;
         color_deterministic(&g, &config).expect("bench instance colors")
     };
-    let rand_ref = color_randomized_probed(&g, &shattering_config(3, 1), &Probe::disabled())
-        .expect("bench instance colors");
-    let shat_ref = rand_ref.coloring.clone();
+    let shat_ref = color_randomized_probed(&g, &shattering_config(3, 1), &Probe::disabled())
+        .expect("bench instance colors")
+        .coloring;
     for (_, threads) in &thread_variants[1..] {
         let mut config = Config::for_delta(16);
         config.threads = *threads;
@@ -221,123 +155,43 @@ fn main() {
         );
     }
 
-    let mut pipe_cases: Vec<PipelineCase> = Vec::new();
-    let mut push = |pipeline: &'static str, instance: &'static str, variant, m: Measurement| {
-        println!(
-            "pipeline/{pipeline}/{instance}/n={n}/{variant}: mean {:.3} ms, min {:.3} ms",
-            m.mean_ns / 1e6,
-            m.min_ns / 1e6
-        );
-        pipe_cases.push(PipelineCase {
-            pipeline,
-            instance,
-            n,
-            variant,
-            m,
-        });
-    };
+    let mut pipe_cases = Vec::new();
     for (variant, threads) in thread_variants {
         let mut det_config = Config::for_delta(16);
         det_config.threads = threads;
-        push(
-            "deterministic",
-            "circulant",
-            variant,
-            measure(test_mode, samples, |b| {
-                b.iter(|| color_deterministic(&g, &det_config).unwrap())
-            }),
-        );
-        let rand_config = {
-            let mut c = RandConfig::for_delta(16, 3);
-            c.base.threads = threads;
-            c
-        };
-        push(
-            "randomized",
-            "circulant",
-            variant,
-            measure(test_mode, samples, |b| {
-                b.iter(|| color_randomized(&g, &rand_config).unwrap())
-            }),
-        );
+        let mut rand_config = RandConfig::for_delta(16, 3);
+        rand_config.base.threads = threads;
         let shat_config = shattering_config(3, threads);
-        push(
-            "randomized",
-            "shattering",
-            variant,
-            measure(test_mode, samples, |b| {
-                b.iter(|| color_randomized(&g, &shat_config).unwrap())
-            }),
-        );
+        for (pipeline, instance, m) in [
+            (
+                "deterministic",
+                "circulant",
+                bench.measure(|| color_deterministic(&g, &det_config).unwrap()),
+            ),
+            (
+                "randomized",
+                "circulant",
+                bench.measure(|| color_randomized(&g, &rand_config).unwrap()),
+            ),
+            (
+                "randomized",
+                "shattering",
+                bench.measure(|| color_randomized(&g, &shat_config).unwrap()),
+            ),
+        ] {
+            let id: &Fields<'_> = &[
+                ("pipeline", &pipeline),
+                ("instance", &instance),
+                ("n", &n),
+                ("variant", &variant),
+            ];
+            pipe_cases.push(bench.case("pipeline", id, m));
+        }
     }
 
-    if let Some(path) = json_path {
-        let report = Value::Map(vec![
-            (
-                "schema_version".to_string(),
-                Value::U64(delta_bench::BENCH_SCHEMA_VERSION),
-            ),
-            (
-                "mode".to_string(),
-                Value::Str(if smoke { "smoke" } else { "full" }.to_string()),
-            ),
-            ("samples".to_string(), Value::U64(samples as u64)),
-            (
-                "acd_cases".to_string(),
-                Value::Seq(
-                    acd_cases
-                        .iter()
-                        .map(|c| {
-                            Value::Map(vec![
-                                ("instance".to_string(), Value::Str(c.instance.to_string())),
-                                ("n".to_string(), Value::U64(c.n as u64)),
-                                ("kernel".to_string(), Value::Str(c.kernel.to_string())),
-                                ("mean_ns".to_string(), Value::F64(c.m.mean_ns)),
-                                ("min_ns".to_string(), Value::F64(c.m.min_ns)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "acd_merge_over_blocked_speedups".to_string(),
-                Value::Seq(
-                    acd_speedups
-                        .iter()
-                        .map(|(key, n, s)| {
-                            Value::Map(vec![
-                                ("case".to_string(), Value::Str(key.clone())),
-                                ("n".to_string(), Value::U64(*n as u64)),
-                                ("speedup".to_string(), Value::F64(*s)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "pipeline_cases".to_string(),
-                Value::Seq(
-                    pipe_cases
-                        .iter()
-                        .map(|c| {
-                            Value::Map(vec![
-                                ("pipeline".to_string(), Value::Str(c.pipeline.to_string())),
-                                ("instance".to_string(), Value::Str(c.instance.to_string())),
-                                ("n".to_string(), Value::U64(c.n as u64)),
-                                ("variant".to_string(), Value::Str(c.variant.to_string())),
-                                ("mean_ns".to_string(), Value::F64(c.m.mean_ns)),
-                                ("min_ns".to_string(), Value::F64(c.m.min_ns)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ]);
-        use std::io::Write as _;
-        let mut file = std::fs::File::create(&path).expect("create bench json");
-        file.write_all(json::to_string(&report).as_bytes())
-            .expect("write bench json");
-        file.write_all(b"\n").expect("write bench json");
-        println!("wrote {}", path.display());
-    }
+    bench.write_report(&[
+        ("acd_cases", &acd_cases),
+        ("acd_merge_over_blocked_speedups", &acd_speedups),
+        ("pipeline_cases", &pipe_cases),
+    ]);
 }

@@ -27,79 +27,60 @@
 
 use std::sync::Arc;
 
-use criterion::{measure, Measurement};
+use delta_bench::harness::{object, Bench, Fields};
 use graphgen::generators;
 use localsim::{Executor, MetricsHub, Probe, ShardedExecutor, WireAlgo};
-use serde::{json, Value};
+use serde::Value;
 
 const MAX_ROUNDS: u64 = 100_000;
 
-struct Case {
-    variant: &'static str,
-    shards: u64,
-    m: Measurement,
-}
-
-struct WireCase {
-    algo: String,
-    shards: u64,
-    rounds: u64,
-    init_bytes: u64,
-    round_bytes: u64,
-    total_sent_bytes: u64,
-    total_recv_bytes: u64,
-    ghost_updates: u64,
-    ghost_suppressed: u64,
-}
-
-/// One deterministic sharded run with a metrics hub attached; byte
-/// counts come straight off the `shard.*` counters. Steady-state bytes
-/// per round excludes the one-time `Init` payload (integer division —
-/// exact, reproducible, gateable at threshold 0).
-fn measure_wire(g: &graphgen::Graph, algo: WireAlgo, shards: usize) -> WireCase {
+/// One deterministic sharded run on the clique `g` with a metrics hub
+/// attached, as a `wire_cases` entry; byte counts come straight off the
+/// `shard.*` counters. Steady-state bytes per round excludes the
+/// one-time `Init` payload (integer division — exact, reproducible,
+/// gateable at threshold 0).
+fn measure_wire(g: &graphgen::Graph, algo: WireAlgo, shards: usize) -> Value {
     let hub = Arc::new(MetricsHub::new());
     let run = ShardedExecutor::new(g)
         .with_shards(shards)
         .with_probe(Probe::disabled().with_metrics(hub.clone()))
         .run(algo, MAX_ROUNDS)
         .expect("wire measurement run");
-    let sent = hub.counter("shard.bytes_sent").get();
-    let recv = hub.counter("shard.bytes_recv").get();
-    let init = hub.counter("shard.init_bytes").get();
-    WireCase {
-        algo: algo.to_string(),
-        shards: shards as u64,
-        rounds: run.rounds,
-        init_bytes: init,
-        round_bytes: (sent + recv - init) / run.rounds.max(1),
-        total_sent_bytes: sent,
-        total_recv_bytes: recv,
-        ghost_updates: hub.counter("shard.ghost_updates_sent").get(),
-        ghost_suppressed: hub.counter("shard.ghost_suppressed").get(),
-    }
+    let counter = |name: &str| hub.counter(name).get();
+    let (sent, recv, init) = (
+        counter("shard.bytes_sent"),
+        counter("shard.bytes_recv"),
+        counter("shard.init_bytes"),
+    );
+    let round_bytes = (sent + recv - init) / run.rounds.max(1);
+    let (updates, suppressed) = (
+        counter("shard.ghost_updates_sent"),
+        counter("shard.ghost_suppressed"),
+    );
+    println!(
+        "wire/clique/n={}/{algo}/shards={shards}: init {init} B, {round_bytes} B/round over {} \
+         rounds ({updates} ghost update(s), {suppressed} suppressed)",
+        g.n(),
+        run.rounds
+    );
+    object(&[
+        ("topology", &"clique"),
+        ("n", &g.n()),
+        ("algo", &algo.to_string()),
+        ("shards", &shards),
+        ("rounds", &run.rounds),
+        ("init_bytes", &init),
+        ("round_bytes", &round_bytes),
+        ("total_sent_bytes", &sent),
+        ("total_recv_bytes", &recv),
+        ("ghost_updates", &updates),
+        ("ghost_suppressed", &suppressed),
+    ])
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let test_mode = args.iter().any(|a| a == "--test");
-    let smoke = test_mode || args.iter().any(|a| a == "--smoke");
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-        .map(|p| {
-            let p = std::path::Path::new(p);
-            if p.is_absolute() {
-                p.to_path_buf()
-            } else {
-                std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-                    .join("../..")
-                    .join(p)
-            }
-        });
-
-    let samples = if smoke { 3 } else { 5 };
-    let n = if smoke { 600 } else { 3000 };
+    let bench = Bench::from_args();
+    let n = if bench.smoke() { 600 } else { 3000 };
     let g = generators::gnp(n, 8.0 / n as f64, 17);
     let algo = WireAlgo::Rand { seed: 7 };
 
@@ -120,152 +101,51 @@ fn main() {
         );
     }
 
-    let mut cases: Vec<Case> = Vec::new();
-    let mut push = |variant: &'static str, shards: u64, rounds: u64, m: Measurement| {
-        println!(
-            "shard/n={n}/{variant}: mean {:.3} ms, min {:.3} ms ({rounds} rounds)",
-            m.mean_ns / 1e6,
-            m.min_ns / 1e6
-        );
-        cases.push(Case { variant, shards, m });
-    };
-
-    push(
-        "in-process",
-        0,
-        reference.rounds,
-        measure(test_mode, samples, |b| {
-            b.iter(|| Executor::new(&g).run(&algo, MAX_ROUNDS).unwrap())
-        }),
-    );
+    let in_process = bench.measure(|| Executor::new(&g).run(&algo, MAX_ROUNDS).unwrap());
+    let mut cases = vec![bench.case(
+        "shard",
+        &[("variant", &"in-process"), ("shards", &0u64)],
+        in_process,
+    )];
     for (variant, shards) in [("shards-1", 1usize), ("shards-2", 2), ("shards-4", 4)] {
-        push(
-            variant,
-            shards as u64,
-            reference.rounds,
-            measure(test_mode, samples, |b| {
-                b.iter(|| {
-                    ShardedExecutor::new(&g)
-                        .with_shards(shards)
-                        .run(algo, MAX_ROUNDS)
-                        .unwrap()
-                })
-            }),
-        );
-    }
-
-    let base = cases[0].m.mean_ns;
-    for c in cases.iter().skip(1) {
+        let m = bench.measure(|| {
+            ShardedExecutor::new(&g)
+                .with_shards(shards)
+                .run(algo, MAX_ROUNDS)
+                .unwrap()
+        });
+        let id: &Fields<'_> = &[("variant", &variant), ("shards", &shards)];
+        cases.push(bench.case("shard", id, m));
         println!(
-            "shard/n={n}/{}: coordination overhead {:.2}x over in-process",
-            c.variant,
-            c.m.mean_ns / base
+            "shard/n={n}/{variant}: coordination overhead {:.2}x over in-process",
+            m.mean_ns / in_process.mean_ns
         );
     }
 
     // Deterministic wire-traffic series: a clique is the worst case for
     // the delta ghost exchange (every vertex is a boundary vertex), so
     // byte counts here bound the protocol's per-round footprint.
-    let wn = if smoke { 400 } else { 2000 };
-    let wg = generators::complete(wn);
-    let mut wire_cases: Vec<WireCase> = Vec::new();
+    let wg = generators::complete(if bench.smoke() { 400 } else { 2000 });
+    let mut wire_cases = Vec::new();
     for algo in [WireAlgo::Rand { seed: 7 }, WireAlgo::Greedy] {
         for shards in [2usize, 4] {
-            let w = measure_wire(&wg, algo, shards);
-            println!(
-                "wire/clique/n={wn}/{}/shards={}: init {} B, {} B/round over {} rounds \
-                 ({} ghost update(s), {} suppressed)",
-                w.algo,
-                w.shards,
-                w.init_bytes,
-                w.round_bytes,
-                w.rounds,
-                w.ghost_updates,
-                w.ghost_suppressed
-            );
-            wire_cases.push(w);
+            wire_cases.push(measure_wire(&wg, algo, shards));
         }
     }
 
-    if let Some(path) = json_path {
-        let report = Value::Map(vec![
-            (
-                "schema_version".to_string(),
-                Value::U64(delta_bench::BENCH_SCHEMA_VERSION),
-            ),
-            (
-                "mode".to_string(),
-                Value::Str(if smoke { "smoke" } else { "full" }.to_string()),
-            ),
-            ("samples".to_string(), Value::U64(samples as u64)),
-            ("n".to_string(), Value::U64(n as u64)),
-            // All variants run the same round count (bit-identity is
-            // asserted above), so it lives at report level — keeping it
-            // out of the per-case identity benchdiff matches on.
-            ("rounds".to_string(), Value::U64(reference.rounds)),
-            (
-                "caveat".to_string(),
-                Value::Str(
-                    "single-machine loopback: shards add per-round framing/syscall cost \
-                     without adding compute; numbers measure coordination overhead, \
-                     not distributed speedup"
-                        .to_string(),
-                ),
-            ),
-            (
-                "cases".to_string(),
-                Value::Seq(
-                    cases
-                        .iter()
-                        .map(|c| {
-                            Value::Map(vec![
-                                ("variant".to_string(), Value::Str(c.variant.to_string())),
-                                ("shards".to_string(), Value::U64(c.shards)),
-                                ("mean_ns".to_string(), Value::F64(c.m.mean_ns)),
-                                ("min_ns".to_string(), Value::F64(c.m.min_ns)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "wire_cases".to_string(),
-                Value::Seq(
-                    wire_cases
-                        .iter()
-                        .map(|w| {
-                            Value::Map(vec![
-                                ("topology".to_string(), Value::Str("clique".to_string())),
-                                ("n".to_string(), Value::U64(wn as u64)),
-                                ("algo".to_string(), Value::Str(w.algo.clone())),
-                                ("shards".to_string(), Value::U64(w.shards)),
-                                ("rounds".to_string(), Value::U64(w.rounds)),
-                                ("init_bytes".to_string(), Value::U64(w.init_bytes)),
-                                ("round_bytes".to_string(), Value::U64(w.round_bytes)),
-                                (
-                                    "total_sent_bytes".to_string(),
-                                    Value::U64(w.total_sent_bytes),
-                                ),
-                                (
-                                    "total_recv_bytes".to_string(),
-                                    Value::U64(w.total_recv_bytes),
-                                ),
-                                ("ghost_updates".to_string(), Value::U64(w.ghost_updates)),
-                                (
-                                    "ghost_suppressed".to_string(),
-                                    Value::U64(w.ghost_suppressed),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ]);
-        use std::io::Write as _;
-        let mut file = std::fs::File::create(&path).expect("create bench json");
-        file.write_all(json::to_string(&report).as_bytes())
-            .expect("write bench json");
-        file.write_all(b"\n").expect("write bench json");
-        println!("wrote {}", path.display());
-    }
+    bench.write_report(&[
+        ("n", &n),
+        // All variants run the same round count (bit-identity is
+        // asserted above), so it lives at report level — keeping it
+        // out of the per-case identity benchdiff matches on.
+        ("rounds", &reference.rounds),
+        (
+            "caveat",
+            &"single-machine loopback: shards add per-round framing/syscall cost \
+              without adding compute; numbers measure coordination overhead, \
+              not distributed speedup",
+        ),
+        ("cases", &cases),
+        ("wire_cases", &wire_cases),
+    ]);
 }

@@ -21,7 +21,7 @@
 //! cargo bench -p delta-bench --bench supervisor -- --smoke --json out.json  # CI
 //! ```
 
-use criterion::{measure, Measurement};
+use delta_bench::harness::{mean_of, object, Bench, Fields};
 use delta_core::{
     drive_deterministic, drive_randomized, load_snapshot, Config, PhaseCursor, RandConfig,
     RunOutcome, Snapshot, Supervisor,
@@ -29,7 +29,6 @@ use delta_core::{
 use graphgen::generators::{self, BlueprintKind, HardCliqueParams};
 use graphgen::Graph;
 use localsim::Probe;
-use serde::{json, Value};
 
 fn circulant(cliques: usize, seed: u64) -> Graph {
     generators::hard_cliques_with_blueprint(
@@ -67,33 +66,9 @@ fn complete<R>(outcome: RunOutcome<R>) -> R {
     }
 }
 
-struct Case {
-    pipeline: &'static str,
-    variant: &'static str,
-    m: Measurement,
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let test_mode = args.iter().any(|a| a == "--test");
-    let smoke = test_mode || args.iter().any(|a| a == "--smoke");
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-        .map(|p| {
-            let p = std::path::Path::new(p);
-            if p.is_absolute() {
-                p.to_path_buf()
-            } else {
-                std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-                    .join("../..")
-                    .join(p)
-            }
-        });
-
-    let samples = if smoke { 3 } else { 5 };
-    let cliques = if smoke { 40 } else { 80 };
+    let bench = Bench::from_args();
+    let cliques = if bench.smoke() { 40 } else { 80 };
     let g = circulant(cliques, 11);
     let n = g.n();
     let probe = Probe::disabled();
@@ -119,15 +94,13 @@ fn main() {
         plain_ref.coloring, ckpt_ref.coloring,
         "checkpointing changed the randomized coloring"
     );
-    let tail_snapshot: Snapshot = {
-        let path = ckpt_dir.join(format!(
-            "checkpoint-{:02}-{}.json",
-            PhaseCursor::PostProcessing.ordinal(),
-            PhaseCursor::PostProcessing.slug()
-        ));
-        load_snapshot(&path).expect("tail snapshot")
-    };
-    let resumed = complete(
+    let tail_path = ckpt_dir.join(format!(
+        "checkpoint-{:02}-{}.json",
+        PhaseCursor::PostProcessing.ordinal(),
+        PhaseCursor::PostProcessing.slug()
+    ));
+    let tail_snapshot: Snapshot = load_snapshot(&tail_path).expect("tail snapshot");
+    let resume_tail = || {
         drive_randomized(
             &g,
             &rand_config,
@@ -136,8 +109,8 @@ fn main() {
             &sup_plain,
             Some(tail_snapshot.clone()),
         )
-        .expect("resumed run"),
-    );
+    };
+    let resumed = complete(resume_tail().expect("resumed run"));
     assert_eq!(
         plain_ref.coloring, resumed.coloring,
         "tail resume diverged from the uninterrupted run"
@@ -154,155 +127,58 @@ fn main() {
         "checkpointing changed the deterministic coloring"
     );
 
-    let mut cases: Vec<Case> = Vec::new();
-    let mut push = |pipeline: &'static str, variant: &'static str, m: Measurement| {
-        println!(
-            "supervisor/{pipeline}/n={n}/{variant}: mean {:.3} ms, min {:.3} ms",
-            m.mean_ns / 1e6,
-            m.min_ns / 1e6
-        );
-        cases.push(Case {
-            pipeline,
-            variant,
-            m,
-        });
+    let rand = |sup: &Supervisor| {
+        complete(drive_randomized(&g, &rand_config, None, &probe, sup, None).unwrap())
     };
+    let det = |sup: &Supervisor| {
+        complete(drive_deterministic(&g, &det_config, &probe, sup, None).unwrap())
+    };
+    let timings = [
+        ("randomized", "plain", bench.measure(|| rand(&sup_plain))),
+        (
+            "randomized",
+            "checkpointed",
+            bench.measure(|| rand(&sup_ckpt)),
+        ),
+        (
+            "randomized",
+            "resume-tail",
+            bench.measure(|| complete(resume_tail().unwrap())),
+        ),
+        (
+            "randomized",
+            "snapshot-load",
+            bench.measure(|| load_snapshot(&tail_path).unwrap()),
+        ),
+        ("deterministic", "plain", bench.measure(|| det(&sup_plain))),
+        (
+            "deterministic",
+            "checkpointed",
+            bench.measure(|| det(&sup_ckpt)),
+        ),
+    ];
+    let cases: Vec<_> = timings
+        .into_iter()
+        .map(|(pipeline, variant, m)| {
+            let id: &Fields<'_> = &[("pipeline", &pipeline), ("variant", &variant)];
+            bench.case(&format!("supervisor/n={n}"), id, m)
+        })
+        .collect();
 
-    push(
-        "randomized",
-        "plain",
-        measure(test_mode, samples, |b| {
-            b.iter(|| {
-                complete(
-                    drive_randomized(&g, &rand_config, None, &probe, &sup_plain, None).unwrap(),
-                )
-            })
-        }),
-    );
-    push(
-        "randomized",
-        "checkpointed",
-        measure(test_mode, samples, |b| {
-            b.iter(|| {
-                complete(drive_randomized(&g, &rand_config, None, &probe, &sup_ckpt, None).unwrap())
-            })
-        }),
-    );
-    push(
-        "randomized",
-        "resume-tail",
-        measure(test_mode, samples, |b| {
-            b.iter(|| {
-                complete(
-                    drive_randomized(
-                        &g,
-                        &rand_config,
-                        None,
-                        &probe,
-                        &sup_plain,
-                        Some(tail_snapshot.clone()),
-                    )
-                    .unwrap(),
-                )
-            })
-        }),
-    );
-    push(
-        "randomized",
-        "snapshot-load",
-        measure(test_mode, samples, |b| {
-            let path = ckpt_dir.join(format!(
-                "checkpoint-{:02}-{}.json",
-                PhaseCursor::PostProcessing.ordinal(),
-                PhaseCursor::PostProcessing.slug()
-            ));
-            b.iter(|| load_snapshot(&path).unwrap())
-        }),
-    );
-    push(
-        "deterministic",
-        "plain",
-        measure(test_mode, samples, |b| {
-            b.iter(|| {
-                complete(drive_deterministic(&g, &det_config, &probe, &sup_plain, None).unwrap())
-            })
-        }),
-    );
-    push(
-        "deterministic",
-        "checkpointed",
-        measure(test_mode, samples, |b| {
-            b.iter(|| {
-                complete(drive_deterministic(&g, &det_config, &probe, &sup_ckpt, None).unwrap())
-            })
-        }),
-    );
-
-    let mut overheads: Vec<(String, f64)> = Vec::new();
+    let mut overheads = Vec::new();
     for pipeline in ["randomized", "deterministic"] {
-        let mean_of = |variant: &str| {
-            cases
-                .iter()
-                .find(|c| c.pipeline == pipeline && c.variant == variant)
-                .map(|c| c.m.mean_ns)
-        };
-        if let (Some(plain), Some(ckpt)) = (mean_of("plain"), mean_of("checkpointed")) {
-            let o = ckpt / plain;
-            println!("supervisor/{pipeline}/n={n}: checkpointed/plain overhead {o:.3}x");
-            overheads.push((pipeline.to_string(), o));
-        }
+        let mean =
+            |variant: &str| mean_of(&cases, &[("pipeline", &pipeline), ("variant", &variant)]);
+        let o = mean("checkpointed") / mean("plain");
+        println!("supervisor/{pipeline}/n={n}: checkpointed/plain overhead {o:.3}x");
+        overheads.push(object(&[("pipeline", &pipeline), ("overhead", &o)]));
     }
 
     let _ = std::fs::remove_dir_all(&ckpt_dir);
 
-    if let Some(path) = json_path {
-        let report = Value::Map(vec![
-            (
-                "schema_version".to_string(),
-                Value::U64(delta_bench::BENCH_SCHEMA_VERSION),
-            ),
-            (
-                "mode".to_string(),
-                Value::Str(if smoke { "smoke" } else { "full" }.to_string()),
-            ),
-            ("samples".to_string(), Value::U64(samples as u64)),
-            ("n".to_string(), Value::U64(n as u64)),
-            (
-                "cases".to_string(),
-                Value::Seq(
-                    cases
-                        .iter()
-                        .map(|c| {
-                            Value::Map(vec![
-                                ("pipeline".to_string(), Value::Str(c.pipeline.to_string())),
-                                ("variant".to_string(), Value::Str(c.variant.to_string())),
-                                ("mean_ns".to_string(), Value::F64(c.m.mean_ns)),
-                                ("min_ns".to_string(), Value::F64(c.m.min_ns)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "checkpointed_over_plain_overheads".to_string(),
-                Value::Seq(
-                    overheads
-                        .iter()
-                        .map(|(pipeline, o)| {
-                            Value::Map(vec![
-                                ("pipeline".to_string(), Value::Str(pipeline.clone())),
-                                ("overhead".to_string(), Value::F64(*o)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ]);
-        use std::io::Write as _;
-        let mut file = std::fs::File::create(&path).expect("create bench json");
-        file.write_all(json::to_string(&report).as_bytes())
-            .expect("write bench json");
-        file.write_all(b"\n").expect("write bench json");
-        println!("wrote {}", path.display());
-    }
+    bench.write_report(&[
+        ("n", &n),
+        ("cases", &cases),
+        ("checkpointed_over_plain_overheads", &overheads),
+    ]);
 }

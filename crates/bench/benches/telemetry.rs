@@ -23,10 +23,9 @@
 
 use std::sync::Arc;
 
-use criterion::{measure, Measurement};
+use delta_bench::harness::{mean_of, Bench, Fields};
 use graphgen::generators;
 use localsim::{Executor, LocalAlgorithm, MetricsHub, NodeCtx, NullSink, Probe, Transition};
-use serde::{json, Value};
 
 /// State-exchange flood: propagate the running max for `t` rounds (the
 /// same workload the executors bench uses for its clique cases).
@@ -53,133 +52,69 @@ impl LocalAlgorithm for StateFlood {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let test_mode = args.iter().any(|a| a == "--test");
-    let smoke = test_mode || args.iter().any(|a| a == "--smoke");
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-        .map(|p| {
-            let p = std::path::Path::new(p);
-            if p.is_absolute() {
-                p.to_path_buf()
-            } else {
-                std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-                    .join("../..")
-                    .join(p)
-            }
-        });
-
-    let samples = if smoke { 3 } else { 5 };
-    let clique_n = if smoke { 192 } else { 2000 };
+    let bench = Bench::from_args();
+    let clique_n = if bench.smoke() { 192 } else { 2000 };
     let t = 3u64;
     let budget = t + 2;
     let g = generators::complete(clique_n);
     let algo = StateFlood { t };
 
-    let mut cases: Vec<(&'static str, Measurement)> = Vec::new();
-    let mut push = |variant: &'static str, m: Measurement| {
-        println!(
-            "telemetry/clique/n={clique_n}/seq/{variant}: mean {:.3} ms, min {:.3} ms",
-            m.mean_ns / 1e6,
-            m.min_ns / 1e6
-        );
-        cases.push((variant, m));
-    };
-
-    push(
-        "bare",
-        measure(test_mode, samples, |b| {
-            b.iter(|| Executor::new(&g).run(&algo, budget).unwrap())
-        }),
-    );
-
-    // One hub reused across iterations: metric values accumulate, but the
-    // per-observation cost — the thing being measured — is constant.
+    // One hub per instrumented variant, reused across iterations: metric
+    // values accumulate, but the per-observation cost — the thing being
+    // measured — is constant.
     let hub = Arc::new(MetricsHub::new());
-    push(
-        "metrics",
-        measure(test_mode, samples, |b| {
-            b.iter(|| {
+    let events_hub = Arc::new(MetricsHub::new());
+    let timings = [
+        (
+            "bare",
+            bench.measure(|| Executor::new(&g).run(&algo, budget).unwrap()),
+        ),
+        (
+            "metrics",
+            bench.measure(|| {
                 Executor::new(&g)
                     .with_probe(Probe::disabled().with_metrics(hub.clone()))
                     .run(&algo, budget)
                     .unwrap()
-            })
-        }),
-    );
-
-    let events_hub = Arc::new(MetricsHub::new());
-    push(
-        "events",
-        measure(test_mode, samples, |b| {
-            b.iter(|| {
+            }),
+        ),
+        (
+            "events",
+            bench.measure(|| {
                 Executor::new(&g)
                     .with_probe(Probe::new(Arc::new(NullSink)).with_metrics(events_hub.clone()))
                     .run(&algo, budget)
                     .unwrap()
-            })
-        }),
-    );
+            }),
+        ),
+    ];
+    let cases: Vec<_> = timings
+        .into_iter()
+        .map(|(variant, m)| {
+            let id: &Fields<'_> = &[
+                ("topology", &"clique"),
+                ("n", &clique_n),
+                ("variant", &variant),
+            ];
+            bench.case("telemetry", id, m)
+        })
+        .collect();
 
-    let mean_of = |variant: &str| {
-        cases
-            .iter()
-            .find(|(v, _)| *v == variant)
-            .map(|(_, m)| m.mean_ns)
-            .expect("variant measured")
-    };
-    let metrics_overhead_pct = 100.0 * (mean_of("metrics") / mean_of("bare") - 1.0);
-    let events_overhead_pct = 100.0 * (mean_of("events") / mean_of("bare") - 1.0);
+    let mean = |variant: &str| mean_of(&cases, &[("variant", &variant)]);
+    let metrics_overhead_pct = 100.0 * (mean("metrics") / mean("bare") - 1.0);
+    let events_overhead_pct = 100.0 * (mean("events") / mean("bare") - 1.0);
     println!("telemetry/clique: metrics-hub overhead {metrics_overhead_pct:+.2}% over bare");
     println!("telemetry/clique: events+metrics overhead {events_overhead_pct:+.2}% over bare");
 
-    if let Some(path) = json_path {
-        let report = Value::Map(vec![
-            (
-                "schema_version".to_string(),
-                Value::U64(delta_bench::BENCH_SCHEMA_VERSION),
-            ),
-            (
-                "mode".to_string(),
-                Value::Str(if smoke { "smoke" } else { "full" }.to_string()),
-            ),
-            ("samples".to_string(), Value::U64(samples as u64)),
-            ("n".to_string(), Value::U64(clique_n as u64)),
-            (
-                "cases".to_string(),
-                Value::Seq(
-                    cases
-                        .iter()
-                        .map(|(variant, m)| {
-                            Value::Map(vec![
-                                ("topology".to_string(), Value::Str("clique".to_string())),
-                                ("n".to_string(), Value::U64(clique_n as u64)),
-                                ("variant".to_string(), Value::Str((*variant).to_string())),
-                                ("mean_ns".to_string(), Value::F64(m.mean_ns)),
-                                ("min_ns".to_string(), Value::F64(m.min_ns)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "metrics_overhead_pct".to_string(),
-                Value::F64(metrics_overhead_pct),
-            ),
-            (
-                "events_overhead_pct".to_string(),
-                Value::F64(events_overhead_pct),
-            ),
-        ]);
-        std::fs::write(&path, json::to_string(&report) + "\n")
-            .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
-        println!("wrote {}", path.display());
-    }
+    bench.write_report(&[
+        ("n", &clique_n),
+        ("cases", &cases),
+        ("metrics_overhead_pct", &metrics_overhead_pct),
+        ("events_overhead_pct", &events_overhead_pct),
+    ]);
 
     // The gate: with a hub but no sink, metrics must stay under 5%.
-    if !smoke {
+    if !bench.smoke() {
         assert!(
             metrics_overhead_pct < 5.0,
             "metrics instrumentation added {metrics_overhead_pct:.2}% to the bare \

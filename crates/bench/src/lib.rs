@@ -10,6 +10,7 @@
 //! ```
 
 pub mod experiments;
+pub mod harness;
 pub mod util;
 
 /// Schema version stamped into every JSON report this crate writes (the

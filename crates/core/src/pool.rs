@@ -70,12 +70,13 @@ where
 /// its post-`init` state before `f` returns). Under that contract the
 /// output vector is identical at every thread count.
 ///
-/// With `hub` attached the call records `pool.calls` / `pool.units`
-/// counters, the `pool.call_ns` histogram, worker wake-up latency, the
-/// per-epoch `pool.steals_per_epoch_sched` histogram, caller-side merge
-/// time, and one busy/idle/merge lane per worker slot; with `hub`
-/// absent the original unmetered loops run — no `Instant::now` calls on
-/// any path.
+/// One claim loop serves every width: inline as slot 0 when one worker
+/// suffices, on a leased pool otherwise. With `hub` attached the call
+/// records `pool.calls` / `pool.units` counters, the `pool.call_ns`
+/// histogram, caller-side merge time, and one busy/idle/merge lane per
+/// worker slot; pooled calls add worker wake-up latency and the
+/// per-epoch `pool.steals_per_epoch_sched` histogram. With `hub` absent
+/// the loop takes no timestamps.
 ///
 /// # Panics
 ///
@@ -98,88 +99,68 @@ where
         hub.counter("pool.calls").incr();
         hub.counter("pool.units").add(len as u64);
     }
-    if k <= 1 {
-        let mut scratch = init();
-        if let Some(hub) = hub {
-            let lane = hub.worker_lane(0);
-            let start = Instant::now();
-            let out: Vec<T> = (0..len).map(|i| f(&mut scratch, i)).collect();
-            let busy = elapsed_ns(start);
-            lane.busy_ns.fetch_add(busy, Ordering::Relaxed);
-            lane.units.fetch_add(len as u64, Ordering::Relaxed);
-            hub.histogram("pool.call_ns").observe(busy);
-            return out;
-        }
-        return (0..len).map(|i| f(&mut scratch, i)).collect();
-    }
+    // Timestamps are taken only with a hub attached.
+    let now = || hub.map(|_| Instant::now());
+    let call_start = now();
+    // A worker's fair share; anything claimed beyond it was "stolen"
+    // from slower workers by the dynamic scheduler.
+    let fair_share = len.div_ceil(k) as u64;
+    let epoch_steals = AtomicU64::new(0);
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<T>>> = (0..len).map(|_| Mutex::new(None)).collect();
-    let mut lease = localsim::pool_lease(k);
-    match hub {
-        None => {
-            lease.run_epoch(&|_slot| {
-                let mut scratch = init();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= len {
-                        break;
-                    }
-                    let out = f(&mut scratch, i);
-                    *slots[i].lock().expect("pool slot poisoned") = Some(out);
-                }
-            });
+    let work = |slot: usize| {
+        if let (Some(hub), Some(start), true) = (hub, call_start, k > 1) {
+            hub.counter("pool.spawn_ns").add(elapsed_ns(start));
         }
-        Some(hub) => {
-            let call_start = Instant::now();
-            // A worker's fair share; anything claimed beyond it was
-            // "stolen" from slower workers by the dynamic scheduler.
-            let fair_share = len.div_ceil(k) as u64;
-            let epoch_steals = AtomicU64::new(0);
-            lease.run_epoch(&|slot| {
-                let lane = hub.worker_lane(slot);
-                hub.counter("pool.spawn_ns").add(elapsed_ns(call_start));
-                let mut scratch = init();
-                let mut busy = 0u64;
-                let mut idle = 0u64;
-                let mut merge = 0u64;
-                let mut claimed = 0u64;
-                let mut prev = Instant::now();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= len {
-                        break;
-                    }
-                    let work_start = Instant::now();
-                    idle += ns_between(prev, work_start);
-                    let out = f(&mut scratch, i);
-                    let work_end = Instant::now();
-                    busy += ns_between(work_start, work_end);
-                    *slots[i].lock().expect("pool slot poisoned") = Some(out);
-                    prev = Instant::now();
-                    merge += ns_between(work_end, prev);
-                    claimed += 1;
-                }
-                let steals = claimed.saturating_sub(fair_share);
-                lane.busy_ns.fetch_add(busy, Ordering::Relaxed);
-                lane.idle_ns.fetch_add(idle, Ordering::Relaxed);
-                lane.merge_ns.fetch_add(merge, Ordering::Relaxed);
-                lane.units.fetch_add(claimed, Ordering::Relaxed);
-                lane.steals.fetch_add(steals, Ordering::Relaxed);
-                epoch_steals.fetch_add(steals, Ordering::Relaxed);
-            });
-            // Per-epoch steal reporting: one observation per pool call,
-            // so the histogram's count/quantiles expose how skewed each
-            // individual epoch was, not just the run total. The `_sched`
-            // suffix keeps it out of `deterministic_snapshot()` —
-            // which worker over-claims depends on OS scheduling.
+        let mut scratch = init();
+        let (mut busy, mut idle, mut merge, mut claimed) = (0, 0, 0, 0u64);
+        let mut prev = now();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= len {
+                break;
+            }
+            let work_start = now();
+            idle += ns_between(prev, work_start);
+            let out = f(&mut scratch, i);
+            let work_end = now();
+            busy += ns_between(work_start, work_end);
+            *slots[i].lock().expect("pool slot poisoned") = Some(out);
+            prev = now();
+            merge += ns_between(work_end, prev);
+            claimed += 1;
+        }
+        if let Some(hub) = hub {
+            let lane = hub.worker_lane(slot);
+            let steals = claimed.saturating_sub(fair_share);
+            lane.busy_ns.fetch_add(busy, Ordering::Relaxed);
+            lane.idle_ns.fetch_add(idle, Ordering::Relaxed);
+            lane.merge_ns.fetch_add(merge, Ordering::Relaxed);
+            lane.units.fetch_add(claimed, Ordering::Relaxed);
+            lane.steals.fetch_add(steals, Ordering::Relaxed);
+            epoch_steals.fetch_add(steals, Ordering::Relaxed);
+        }
+    };
+    // One unit stream runs inline as slot 0, leaving the thread's
+    // cached pool alone; wider calls lease a pool of `k` slots.
+    if k == 1 {
+        work(0);
+    } else {
+        localsim::pool_lease(k).run_epoch(&work);
+    }
+    if let (Some(hub), Some(start)) = (hub, call_start) {
+        // Per-epoch steal reporting: one observation per pooled call, so
+        // the histogram's count/quantiles expose how skewed each
+        // individual epoch was, not just the run total. The `_sched`
+        // suffix keeps it out of `deterministic_snapshot()` — which
+        // worker over-claims depends on OS scheduling.
+        if k > 1 {
             hub.histogram("pool.steals_per_epoch_sched")
                 .observe(epoch_steals.load(Ordering::Relaxed));
-            hub.histogram("pool.call_ns")
-                .observe(elapsed_ns(call_start));
         }
+        hub.histogram("pool.call_ns").observe(elapsed_ns(start));
     }
-    drop(lease);
-    let collect_start = hub.map(|_| Instant::now());
+    let collect_start = now();
     let out: Vec<T> = slots
         .into_iter()
         .map(|m| {
@@ -199,9 +180,15 @@ fn elapsed_ns(since: Instant) -> u64 {
     u64::try_from(since.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
+/// Nanoseconds from `a` to `b`; `0` when no timestamps were taken.
 #[inline]
-fn ns_between(a: Instant, b: Instant) -> u64 {
-    u64::try_from(b.saturating_duration_since(a).as_nanos()).unwrap_or(u64::MAX)
+fn ns_between(a: Option<Instant>, b: Option<Instant>) -> u64 {
+    match (a, b) {
+        (Some(a), Some(b)) => {
+            u64::try_from(b.saturating_duration_since(a).as_nanos()).unwrap_or(u64::MAX)
+        }
+        _ => 0,
+    }
 }
 
 #[cfg(test)]

@@ -64,6 +64,9 @@ pub enum GraphError {
     DuplicateEdge(u32, u32),
     /// A generator was asked for parameters it cannot satisfy.
     InfeasibleParameters(String),
+    /// The vertex count exceeds what [`NodeId`] can address (2³²), or
+    /// the allocator refused the graph's `n`-sized buffers.
+    TooManyVertices(usize),
 }
 
 impl fmt::Display for GraphError {
@@ -79,6 +82,11 @@ impl fmt::Display for GraphError {
             GraphError::SelfLoop(v) => write!(f, "self loop at vertex {v}"),
             GraphError::DuplicateEdge(u, v) => write!(f, "duplicate edge ({u}, {v})"),
             GraphError::InfeasibleParameters(msg) => write!(f, "infeasible parameters: {msg}"),
+            GraphError::TooManyVertices(n) => write!(
+                f,
+                "cannot build a graph on {n} vertices (at most 2^32, and its buffers must be \
+                 allocatable)"
+            ),
         }
     }
 }
@@ -124,15 +132,54 @@ impl Serialize for Graph {
 }
 
 impl<'de> Deserialize<'de> for Graph {
+    /// Rebuilds the stored graph through [`Graph::from_edges`] and
+    /// rejects it unless the rebuilt graph equals the stored one, so
+    /// hostile CSR parts (out-of-range or one-sided adjacency, unsorted
+    /// lists, a wrong `m` or `max_degree`) become errors, not panics.
     fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        Ok(Graph {
+        let stored = Graph {
             offsets: Deserialize::from_value(v.field("offsets")?)?,
             adj: Deserialize::from_value(v.field("adj")?)?,
             m: Deserialize::from_value(v.field("m")?)?,
             max_degree: Deserialize::from_value(v.field("max_degree")?)?,
             rev_ports: OnceLock::new(),
-        })
+        };
+        let (offsets, adj) = (&stored.offsets, &stored.adj);
+        if offsets.first() != Some(&0)
+            || offsets.last() != Some(&adj.len())
+            || offsets.windows(2).any(|w| w[0] > w[1])
+        {
+            return Err(serde::Error::new(
+                "invalid graph: CSR offsets must start at 0, ascend, and end at adj.len()",
+            ));
+        }
+        let n = offsets.len() - 1;
+        let edges = (0..n).flat_map(|v| {
+            adj[offsets[v]..offsets[v + 1]]
+                .iter()
+                .filter(move |w| w.index() > v)
+                .map(move |w| (v as u32, w.0))
+        });
+        let rebuilt = Graph::from_edges(n, edges)
+            .map_err(|e| serde::Error::new(format!("invalid graph: {e}")))?;
+        if rebuilt != stored {
+            return Err(serde::Error::new(
+                "invalid graph: adjacency is not sorted and symmetric, or `m`/`max_degree` \
+                 disagree with it",
+            ));
+        }
+        Ok(rebuilt)
     }
+}
+
+/// `len` zeros, allocated fallibly so that a buffer for `n` vertices the
+/// allocator refuses is a [`GraphError::TooManyVertices`], not an abort.
+fn try_zeros(len: usize, n: usize) -> Result<Vec<usize>, GraphError> {
+    let mut v = Vec::new();
+    v.try_reserve_exact(len)
+        .map_err(|_| GraphError::TooManyVertices(n))?;
+    v.resize(len, 0);
+    Ok(v)
 }
 
 impl Graph {
@@ -140,13 +187,17 @@ impl Graph {
     ///
     /// # Errors
     ///
-    /// Returns an error if an endpoint is out of range, an edge is a self
-    /// loop, or the same undirected edge appears twice.
+    /// Returns an error if `n` exceeds 2³² or its buffers cannot be
+    /// allocated, an endpoint is out of range, an edge is a self loop, or
+    /// the same undirected edge appears twice.
     pub fn from_edges(
         n: usize,
         edges: impl IntoIterator<Item = (u32, u32)>,
     ) -> Result<Self, GraphError> {
-        let mut deg = vec![0usize; n];
+        if n as u64 > 1 << 32 {
+            return Err(GraphError::TooManyVertices(n));
+        }
+        let mut deg = try_zeros(n, n)?;
         let mut list: Vec<(u32, u32)> = Vec::new();
         for (a, b) in edges {
             if a as usize >= n || b as usize >= n {
@@ -165,11 +216,12 @@ impl Graph {
                 return Err(GraphError::DuplicateEdge(w[0].0, w[0].1));
             }
         }
-        let mut offsets = vec![0usize; n + 1];
+        let mut offsets = try_zeros(n + 1, n)?;
         for v in 0..n {
             offsets[v + 1] = offsets[v] + deg[v];
         }
-        let mut cursor = offsets.clone();
+        let mut cursor = try_zeros(n + 1, n)?;
+        cursor.copy_from_slice(&offsets);
         let mut adj = vec![NodeId(0); offsets[n]];
         for &(a, b) in &list {
             adj[cursor[a as usize]] = NodeId(b);
@@ -683,5 +735,41 @@ mod tests {
         assert_eq!(comps[0], vec![NodeId(0), NodeId(1)]);
         assert_eq!(comps[1], vec![NodeId(2), NodeId(3)]);
         assert_eq!(comps[2], vec![NodeId(4)]);
+    }
+
+    #[test]
+    fn from_edges_rejects_vertex_counts_past_node_id() {
+        assert_eq!(
+            Graph::from_edges((1 << 32) + 1, [(0, 1)]),
+            Err(GraphError::TooManyVertices((1 << 32) + 1))
+        );
+    }
+
+    #[test]
+    fn deserialize_round_trips_and_rejects_hostile_csr() {
+        let g = triangle_plus_pendant();
+        assert_eq!(Graph::from_value(&g.to_value()).unwrap(), g);
+        // One stored field mutated each: an out-of-range neighbor, a
+        // broken offset, a one-sided edge (vertex 3 lists 0 instead of 2,
+        // which 0 does not list back), a wrong m and a wrong Δ.
+        let mutations: [(&str, usize, u64); 5] = [
+            ("adj", 0, 1_000_000),
+            ("offsets", 1, 1_000_000),
+            ("adj", 7, 0),
+            ("m", 0, 5),
+            ("max_degree", 0, 2),
+        ];
+        for (field, index, value) in mutations {
+            let Value::Map(mut fields) = g.to_value() else {
+                unreachable!()
+            };
+            let slot = &mut fields.iter_mut().find(|(k, _)| k == field).unwrap().1;
+            match slot {
+                Value::Seq(items) => items[index] = Value::U64(value),
+                other => *other = Value::U64(value),
+            }
+            let err = Graph::from_value(&Value::Map(fields)).unwrap_err();
+            assert!(err.to_string().contains("invalid graph"), "{field}: {err}");
+        }
     }
 }

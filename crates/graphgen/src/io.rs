@@ -352,6 +352,20 @@ mod tests {
     }
 
     #[test]
+    fn oversized_vertex_count_is_an_error_not_an_abort() {
+        // One past what `NodeId` addresses: rejected before any n-sized
+        // buffer is allocated.
+        let err = parse_edge_list("n 4294967297\n0 1").unwrap_err();
+        assert!(
+            matches!(
+                err,
+                IoError::Graph(GraphError::TooManyVertices(4_294_967_297))
+            ),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn roundtrips() {
         let g = crate::generators::hypercube(3);
         let text = write_edge_list(&g);

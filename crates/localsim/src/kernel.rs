@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 use std::ops::{AddAssign, Range};
 
 use graphgen::{Graph, NodeId};
-use telemetry::{Counter, Event, FaultKind, Gauge, Probe, Registry};
+use telemetry::{Event, FaultKind, Probe};
 
 use crate::exec::{LocalAlgorithm, NodeCtx, RunResult, SimError, Transition};
 use crate::faults::FaultPlan;
@@ -223,68 +223,57 @@ pub(crate) fn outcome<O>(
 }
 
 /// The per-round [`Event::Round`] series (`live_nodes`, `halted`,
-/// `messages_sent`, `halted_fraction`, plus `messages_dropped` /
-/// `stalled_nodes` under a dropping / jittering plan) and the
-/// [`Event::Fault`] records, registered and emitted in one fixed order
-/// by every executor and by the shard coordinator. Rounds are 1-based
-/// here; events carry them 0-based.
+/// `messages_sent`, the extras, then `messages_dropped` /
+/// `stalled_nodes` under a dropping / jittering plan, and the
+/// `halted_fraction` gauge) and the [`Event::Fault`] records, emitted in
+/// one fixed order by every executor and by the shard coordinator. The
+/// counters are plain per-round fields, zeroed after each emitted round.
+/// Rounds are 1-based here; events carry them 0-based.
 pub(crate) struct RoundBook {
     probe: Probe,
-    registry: Registry,
     scope: &'static str,
-    live: Counter,
-    halted: Counter,
+    live: i64,
     /// Also charged directly by the message executor's init sends.
-    pub msgs: Counter,
-    halted_frac: Gauge,
-    dropped: Option<Counter>,
-    stalled: Option<Counter>,
+    pub msgs: i64,
+    /// Executor-specific counters, in registration order (set with
+    /// [`RoundBook::set_extra`]).
+    extras: Vec<(&'static str, i64)>,
+    /// Whether the plan drops reads / stalls nodes, which adds the
+    /// `messages_dropped` / `stalled_nodes` counters.
+    drops: bool,
+    stalls: bool,
     crash_sched: BTreeMap<u64, Vec<NodeId>>,
     /// Nodes [`RoundBook::start`] has crashed so far.
     pub crashed: usize,
 }
 
 impl RoundBook {
-    /// A book for `scope`; `extra` counters register right after
-    /// `messages_sent` (fetch them with [`RoundBook::counter`]).
+    /// A book for `scope`; `extras` are emitted right after
+    /// `messages_sent`.
     pub(crate) fn new(
         scope: &'static str,
         probe: &Probe,
         plan: Option<&FaultPlan>,
-        extra: &[&str],
+        extras: &[&'static str],
     ) -> Self {
-        let mut registry = Registry::new();
-        let live = registry.counter("live_nodes");
-        let halted = registry.counter("halted");
-        let msgs = registry.counter("messages_sent");
-        for name in extra {
-            registry.counter(name);
-        }
-        let halted_frac = registry.gauge("halted_fraction");
-        let dropped = plan
-            .filter(|p| p.message_drop_p > 0.0)
-            .map(|_| registry.counter("messages_dropped"));
-        let stalled = plan
-            .filter(|p| p.round_jitter > 0)
-            .map(|_| registry.counter("stalled_nodes"));
         RoundBook {
             probe: probe.clone(),
-            registry,
             scope,
-            live,
-            halted,
-            msgs,
-            halted_frac,
-            dropped,
-            stalled,
+            live: 0,
+            msgs: 0,
+            extras: extras.iter().map(|&name| (name, 0)).collect(),
+            drops: plan.is_some_and(|p| p.message_drop_p > 0.0),
+            stalls: plan.is_some_and(|p| p.round_jitter > 0),
             crash_sched: plan.map(FaultPlan::crash_schedule).unwrap_or_default(),
             crashed: 0,
         }
     }
 
-    /// The handle of a counter registered at construction.
-    pub(crate) fn counter(&mut self, name: &str) -> Counter {
-        self.registry.counter(name)
+    /// Sets this round's value of the extra counter `name`.
+    pub(crate) fn set_extra(&mut self, name: &str, value: i64) {
+        if let Some((_, v)) = self.extras.iter_mut().find(|(n, _)| *n == name) {
+            *v = value;
+        }
     }
 
     /// The nodes the plan crashes at the start of `round`, ascending.
@@ -298,8 +287,8 @@ impl RoundBook {
     }
 
     /// Records the live count `round` starts with (after its crashes).
-    pub(crate) fn set_live(&self, live: usize) {
-        self.live.set(live as i64);
+    pub(crate) fn set_live(&mut self, live: usize) {
+        self.live = live as i64;
     }
 
     /// Starts `round` on the ascending worklist `live`, failing past the
@@ -332,23 +321,37 @@ impl RoundBook {
     }
 
     /// Charges `round`'s tally, emits its drop and stall faults, then
-    /// its `Event::Round` with `live` nodes left of `n`.
-    pub(crate) fn finish(&self, round: u64, t: Tally, live: usize, n: usize) {
-        self.msgs.add(t.msgs);
-        self.halted.add(t.halts);
-        for (count, kind, counter) in [
-            (t.dropped, FaultKind::Drop, &self.dropped),
-            (t.stalled, FaultKind::Stall, &self.stalled),
-        ] {
+    /// its `Event::Round` with `live` nodes left of `n`, and zeroes the
+    /// counters for the next round.
+    pub(crate) fn finish(&mut self, round: u64, t: Tally, live: usize, n: usize) {
+        for (count, kind) in [(t.dropped, FaultKind::Drop), (t.stalled, FaultKind::Stall)] {
             if count > 0 {
-                if let Some(c) = counter {
-                    c.add(count);
-                }
                 self.fault(round, kind, None, count as u64);
             }
         }
-        self.halted_frac.set((n - live) as f64 / n as f64);
-        self.registry.emit_round(&self.probe, self.scope, round - 1);
+        let fixed = [
+            ("live_nodes", std::mem::take(&mut self.live)),
+            ("halted", t.halts),
+            ("messages_sent", std::mem::take(&mut self.msgs) + t.msgs),
+        ];
+        let faults = [
+            self.drops.then_some(("messages_dropped", t.dropped)),
+            self.stalls.then_some(("stalled_nodes", t.stalled)),
+        ];
+        self.probe.emit_with(|| Event::Round {
+            scope: self.scope.to_string(),
+            round: round - 1,
+            counters: fixed
+                .into_iter()
+                .chain(self.extras.iter().copied())
+                .chain(faults.into_iter().flatten())
+                .map(|(name, v)| (name.to_string(), v))
+                .collect(),
+            gauges: vec![("halted_fraction".to_string(), (n - live) as f64 / n as f64)],
+        });
+        for (_, v) in &mut self.extras {
+            *v = 0;
+        }
     }
 
     fn fault(&self, round: u64, kind: FaultKind, node: Option<NodeId>, count: u64) {
@@ -359,5 +362,75 @@ impl RoundBook {
             node: node.map(|v| u64::from(v.0)),
             count,
         });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use telemetry::RecordingSink;
+
+    use super::*;
+
+    /// The emission order every event stream relies on: the fixed
+    /// counters, the extras, then the fault-plan counters, with the
+    /// round's faults reported ahead of its `Round` event and every
+    /// counter restarting at zero the next round.
+    #[test]
+    fn round_book_emits_in_fixed_order_and_zeroes_per_round() {
+        let sink = Arc::new(RecordingSink::new());
+        let plan = FaultPlan {
+            message_drop_p: 0.5,
+            round_jitter: 1,
+            ..FaultPlan::default()
+        };
+        let probe = Probe::new(sink.clone());
+        let mut book = RoundBook::new("sim", &probe, Some(&plan), &["inbox_bytes"]);
+        book.set_live(4);
+        book.msgs += 7;
+        book.set_extra("inbox_bytes", 64);
+        let tally = Tally {
+            msgs: 3,
+            dropped: 2,
+            stalled: 1,
+            halts: 1,
+        };
+        book.finish(1, tally, 3, 4);
+        book.set_live(3);
+        book.finish(2, Tally::default(), 3, 4);
+
+        let round = |round, values: [i64; 6]| {
+            let names = [
+                "live_nodes",
+                "halted",
+                "messages_sent",
+                "inbox_bytes",
+                "messages_dropped",
+                "stalled_nodes",
+            ];
+            Event::Round {
+                scope: "sim".into(),
+                round,
+                counters: names.iter().map(|n| n.to_string()).zip(values).collect(),
+                gauges: vec![("halted_fraction".into(), 0.25)],
+            }
+        };
+        let fault = |kind, count| Event::Fault {
+            scope: "sim".into(),
+            round: 0,
+            kind,
+            node: None,
+            count,
+        };
+        assert_eq!(
+            sink.events(),
+            vec![
+                fault(FaultKind::Drop, 2),
+                fault(FaultKind::Stall, 1),
+                round(0, [4, 1, 10, 64, 2, 1]),
+                round(1, [3, 0, 0, 0, 0, 0]),
+            ]
+        );
     }
 }

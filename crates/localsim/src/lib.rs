@@ -87,6 +87,6 @@ pub use shard::{
 // telemetry crate explicitly.
 pub use telemetry::{
     ChargeKind, Event, FanoutSink, FaultKind, FlightRecorder, Histogram, JsonlSink, LocalHistogram,
-    MetricCounter, MetricsHub, NullSink, Probe, RecordingSink, Registry, Sink, Watermark,
-    WorkerLaneSnapshot, METRICS_SCHEMA_VERSION,
+    MetricCounter, MetricsHub, NullSink, Probe, RecordingSink, Sink, Watermark, WorkerLaneSnapshot,
+    METRICS_SCHEMA_VERSION,
 };

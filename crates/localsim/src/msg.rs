@@ -248,7 +248,6 @@ impl<'g> MessageExecutor<'g> {
         let mut nxt: Inbox<P::Msg> = Inbox::new(offsets[n]);
         let plan = self.faults.as_ref();
         let mut book = RoundBook::new(MSG_SCOPE, &self.probe, plan, &["inbox_bytes"]);
-        let c_inbox = book.counter("inbox_bytes");
         // Metric handles (None when no hub is attached — the hot loop then
         // takes no timestamps). `msg.arena_peak` / `msg.dirty_slots` track
         // inbox-arena occupancy and compaction work via the dirty list.
@@ -268,8 +267,7 @@ impl<'g> MessageExecutor<'g> {
         for v in graph.vertices() {
             let (st, outs) = prog.init(&make_ctx(v, 0));
             states.push(st);
-            book.msgs
-                .add(cur.deliver(graph, rev, v, outs, drop_ctx(0), &mut init_dropped));
+            book.msgs += cur.deliver(graph, rev, v, outs, drop_ctx(0), &mut init_dropped);
         }
         let mut live_list: Vec<NodeId> = graph.vertices().collect();
         let mut rounds = 0u64;
@@ -300,7 +298,10 @@ impl<'g> MessageExecutor<'g> {
             };
             if self.probe.enabled() {
                 let pending = cur.slots.iter().filter(|m| m.is_some()).count();
-                c_inbox.set((pending * std::mem::size_of::<P::Msg>()) as i64);
+                book.set_extra(
+                    "inbox_bytes",
+                    (pending * std::mem::size_of::<P::Msg>()) as i64,
+                );
             }
             // Phase 1: step every live node against the read-only current
             // arena, collecting transitions.

@@ -4,7 +4,7 @@
 //!
 //! The coordinator is the sharded counterpart of [`crate::Executor`]:
 //! it emits the *same* event stream (crash/drop/stall faults, per-round
-//! registry snapshots under [`EXEC_SCOPE`]) and returns the same
+//! round counters under [`EXEC_SCOPE`]) and returns the same
 //! [`RunResult`]/[`SimError`] outcomes, so an `N`-shard run is
 //! interchangeable with — and testable against — a single-process run.
 //! Per-round wire activity lands in the metrics hub instead
@@ -104,16 +104,6 @@ pub enum ShardError {
     /// A protocol violation (bad handshake, unexpected frame, worker
     /// error report) — not retried.
     Protocol(String),
-    /// A shard kept dying past the respawn budget. Since protocol v3
-    /// the coordinator *adopts* such a shard in-process instead of
-    /// failing; the variant remains for API stability and for callers
-    /// matching historical traces.
-    RespawnBudgetExhausted {
-        /// The repeatedly failing shard.
-        shard: usize,
-        /// The exhausted budget.
-        budget: usize,
-    },
 }
 
 impl std::fmt::Display for ShardError {
@@ -122,9 +112,6 @@ impl std::fmt::Display for ShardError {
             ShardError::Sim(e) => write!(f, "{e}"),
             ShardError::Io(msg) => write!(f, "shard transport error: {msg}"),
             ShardError::Protocol(msg) => write!(f, "shard protocol error: {msg}"),
-            ShardError::RespawnBudgetExhausted { shard, budget } => {
-                write!(f, "shard {shard} exhausted its respawn budget of {budget}")
-            }
         }
     }
 }
@@ -448,7 +435,7 @@ impl<'g> ShardedExecutor<'g> {
         // The executor's own round book: the emitted Round and Fault
         // events are indistinguishable from a single-process run's.
         let plan = self.faults.as_ref();
-        let book = RoundBook::new(EXEC_SCOPE, &self.probe, plan, &[]);
+        let mut book = RoundBook::new(EXEC_SCOPE, &self.probe, plan, &[]);
         let hub = self.probe.metrics();
         let h_round = hub.map(|h| h.histogram("shard.round_ns"));
         let h_barrier = hub.map(|h| h.histogram("shard.barrier_wait_ns"));

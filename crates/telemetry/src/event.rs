@@ -106,7 +106,7 @@ pub enum Event {
         /// Charge flavour.
         kind: ChargeKind,
     },
-    /// Per-round snapshot of a metric registry.
+    /// Per-round snapshot of an executor's round counters.
     ///
     /// # Counter conventions
     ///

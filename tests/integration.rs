@@ -289,3 +289,43 @@ fn general_rejects_flags_it_cannot_honor() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Hostile input ends in a named error and a nonzero exit, never a panic
+/// or an allocator abort: a repro bundle whose stored graph points past
+/// its vertex set, and an edge list declaring more vertices than
+/// `NodeId` can address.
+#[test]
+fn hostile_bundles_and_graph_files_fail_without_panicking() {
+    use std::process::Command;
+    const BIN: &str = env!("CARGO_BIN_EXE_delta-color");
+    let dir = std::env::temp_dir().join(format!("hostile-cli-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+
+    let golden = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("crates/core/tests/data/golden-bundle.json");
+    let text = std::fs::read_to_string(golden).unwrap();
+    let bundle = dir.join("bundle.json");
+    let adj_start = text.find("\"adj\":[").expect("bundle stores adj") + "\"adj\":[".len();
+    let first_len = text[adj_start..].find([',', ']']).unwrap();
+    let mutated = format!(
+        "{}1000000{}",
+        &text[..adj_start],
+        &text[adj_start + first_len..]
+    );
+    std::fs::write(&bundle, mutated).unwrap();
+    let graph = dir.join("huge.txt");
+    std::fs::write(&graph, "n 4294967297\n0 1").unwrap();
+
+    for args in [
+        vec!["replay", bundle.to_str().unwrap()],
+        vec!["color", graph.to_str().unwrap()],
+    ] {
+        let out = Command::new(BIN).args(&args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(stderr.contains("invalid graph"), "{args:?}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
